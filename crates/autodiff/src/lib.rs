@@ -39,6 +39,7 @@
 #![warn(missing_docs)]
 
 mod grad_check;
+mod group;
 mod ops_basic;
 mod ops_nn;
 mod ops_struct;

@@ -32,6 +32,7 @@
 //! SIMD legs and at any thread count — and touch no allocator in steady
 //! state.
 
+use crate::group;
 use crate::tape::{step_backward, Node, Op, Tape, Value, Var};
 use colper_tensor::{kernels, Matrix};
 use std::fmt;
@@ -790,7 +791,6 @@ fn exec_node(nodes: &mut [Node], i: usize, hinge: Option<&HingeSpec>) {
             head[x.0].value.select_rows_into(idx, value.owned_mut());
         }
         Op::GroupMax { x, argmax } => {
-            let x = *x;
             let xv: &Matrix = &head[x.0].value;
             let out = value.owned_mut();
             let (rows, cols) = xv.shape();
@@ -798,23 +798,7 @@ fn exec_node(nodes: &mut [Node], i: usize, hinge: Option<&HingeSpec>) {
             if groups == 0 {
                 return;
             }
-            let k = rows / groups;
-            for g in 0..groups {
-                for c in 0..cols {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_row = g * k;
-                    for j in 0..k {
-                        let r = g * k + j;
-                        let v = xv[(r, c)];
-                        if v > best {
-                            best = v;
-                            best_row = r;
-                        }
-                    }
-                    out[(g, c)] = best;
-                    argmax[g * cols + c] = best_row;
-                }
-            }
+            group::max_forward(xv.as_slice(), cols, rows / groups, out.as_mut_slice(), argmax);
         }
         Op::GroupMean(x, k) => {
             let (x, k) = (*x, *k);
@@ -830,28 +814,9 @@ fn exec_node(nodes: &mut [Node], i: usize, hinge: Option<&HingeSpec>) {
             out.map_inplace(|v| v / k as f32);
         }
         Op::GroupSoftmax { x, k, softmax } => {
-            let (x, k) = (*x, *k);
             let xv: &Matrix = &head[x.0].value;
             let out = value.owned_mut();
-            let (rows, cols) = xv.shape();
-            let groups = rows / k;
-            for g in 0..groups {
-                for c in 0..cols {
-                    let mut maxv = f32::NEG_INFINITY;
-                    for j in 0..k {
-                        maxv = maxv.max(xv[(g * k + j, c)]);
-                    }
-                    let mut denom = 0.0f32;
-                    for j in 0..k {
-                        let e = (xv[(g * k + j, c)] - maxv).exp();
-                        out[(g * k + j, c)] = e;
-                        denom += e;
-                    }
-                    for j in 0..k {
-                        out[(g * k + j, c)] /= denom;
-                    }
-                }
-            }
+            group::softmax_forward(xv.as_slice(), xv.cols(), *k, out.as_mut_slice());
             softmax.as_mut_slice().copy_from_slice(out.as_slice());
         }
         Op::WeightedGather { x, idx, w, k } => {
@@ -1139,10 +1104,14 @@ mod tests {
         assert!(schedule.arena_bytes() > 0);
 
         // Replay twice per input: the second replay runs over dirty
-        // buffers, which is what catches missing zero-fills.
+        // buffers, which is what catches missing zero-fills. After the
+        // first replay has warmed the pool, no replay may miss it.
+        let mut warm_misses = None;
         for wi in [&w1, &w2, &w1] {
             schedule.replay(&mut sched_tape, wi);
+            let misses = *warm_misses.get_or_insert(sched_tape.pool_stats().1);
             schedule.replay(&mut sched_tape, wi);
+            assert_eq!(sched_tape.pool_stats().1, misses, "replay allocated outside the pool");
 
             let mut fresh = Tape::new();
             let (f_loss, f_w, f_logits) = build(&mut fresh, wi);

@@ -1,6 +1,7 @@
 //! The [`Tape`]: a linear record of primitive operations and its reverse
 //! (backward) pass.
 
+use crate::group;
 use colper_tensor::{kernels, BufferPool, Matrix};
 use std::collections::VecDeque;
 use std::ops::Deref;
@@ -835,12 +836,7 @@ pub(crate) fn step_backward(
         Op::GroupMax { x, argmax } => {
             let (r, c) = nodes[x.0].value.shape();
             let mut g = pool.zeros(r, c);
-            for out_row in 0..gy.rows() {
-                for col in 0..c {
-                    let src = argmax[out_row * c + col];
-                    g[(src, col)] += gy[(out_row, col)];
-                }
-            }
+            group::max_backward(gy.as_slice(), argmax, c, g.as_mut_slice());
             accumulate(nodes, grads, pool, *x, g);
         }
         Op::GroupMean(x, k) => {
@@ -855,25 +851,9 @@ pub(crate) fn step_backward(
             accumulate(nodes, grads, pool, *x, g);
         }
         Op::GroupSoftmax { x, k, softmax } => {
-            // For each group g and column c:
-            // dx = s * (dy - sum_group(dy * s)).
-            let k = *k;
             let (r, c) = softmax.shape();
-            let groups = r / k;
             let mut g = grad_buf(pool, compiled, r, c);
-            for gi in 0..groups {
-                for cc in 0..c {
-                    let mut dot = 0.0f32;
-                    for j in 0..k {
-                        let rr = gi * k + j;
-                        dot += gy[(rr, cc)] * softmax[(rr, cc)];
-                    }
-                    for j in 0..k {
-                        let rr = gi * k + j;
-                        g[(rr, cc)] = softmax[(rr, cc)] * (gy[(rr, cc)] - dot);
-                    }
-                }
-            }
+            group::softmax_backward(gy.as_slice(), softmax.as_slice(), c, *k, g.as_mut_slice());
             accumulate(nodes, grads, pool, *x, g);
         }
         Op::WeightedGather { x, idx, w, k } => {

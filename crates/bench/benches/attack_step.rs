@@ -550,8 +550,10 @@ fn bench_alloc(points: usize, model_scale: &str) {
 /// register-blocked kernel against the row kernel at large shapes
 /// (single-threaded and on a `--threads`-sized pool) and asserts the
 /// committed 2x single-threaded floor; `batched` times the strided
-/// batch-of-clouds GEMM against the per-cloud loop. Every timed variant
-/// is bit-checked against the pinned scalar reference.
+/// batch-of-clouds GEMM against the per-cloud loop; `nt` times the
+/// backward `matmul_nt` route against the per-element `dot` loop it
+/// replaced. Every timed variant is bit-checked against the pinned scalar
+/// reference.
 fn bench_simd(samples: usize, threads: usize) {
     use colper_tensor::{gemm_mode, kernels, set_gemm_mode, GemmMode};
 
@@ -719,6 +721,70 @@ fn bench_simd(samples: usize, threads: usize) {
     );
     set_gemm_mode(was_mode);
 
+    // The `dA = dY * B^T` arm of every matmul backward: the per-element
+    // `dot` loop `matmul_nt` used to run, against the packed `dot_cols`
+    // route on both legs, at ResGCN's edge-MLP shape and PointNet++'s
+    // two set-abstraction shapes (512-point clouds). All three must agree
+    // bit for bit.
+    let nt_shapes: [(&str, usize, usize, usize); 3] =
+        [("resgcn", 4096, 32, 64), ("pointnet2_sa1", 2048, 32, 32), ("pointnet2_sa2", 512, 64, 64)];
+    let mut nt_rows = Vec::new();
+    for &(label, m, k, n) in &nt_shapes {
+        let a = Matrix::from_fn(m, k, |r, c| ((r * 31 + c) as f32 * 0.17).sin());
+        let b = Matrix::from_fn(n, k, |r, c| ((r * 17 + c) as f32 * 0.23).cos());
+        let mut out = Matrix::zeros(m, n);
+        kernels::set_simd_enabled(was);
+        let per_element_ns = seq.install(|| {
+            time_median_ns(samples, || {
+                for i in 0..m {
+                    let a_row = a.row(i);
+                    for (j, o) in out.row_mut(i).iter_mut().enumerate() {
+                        *o = kernels::dot(a_row, b.row(j));
+                    }
+                }
+                black_box(out.as_slice().first().copied());
+            })
+        });
+        let per_element_bits: Vec<u32> = out.as_slice().iter().map(|v| v.to_bits()).collect();
+        let mut run_path = |simd: bool| -> (u128, Vec<u32>) {
+            kernels::set_simd_enabled(simd);
+            let ns = seq.install(|| {
+                time_median_ns(samples, || {
+                    a.matmul_nt_into(&b, &mut out).expect("shape");
+                    black_box(out.as_slice().first().copied());
+                })
+            });
+            (ns, out.as_slice().iter().map(|v| v.to_bits()).collect())
+        };
+        let (scalar_ns, scalar_bits) = run_path(false);
+        let (simd_ns, simd_bits) = if kernels::simd_supported() {
+            run_path(true)
+        } else {
+            (scalar_ns, scalar_bits.clone())
+        };
+        kernels::set_simd_enabled(was);
+        assert_eq!(scalar_bits, simd_bits, "matmul_nt paths diverge at {m}x{k}x{n}");
+        assert_eq!(
+            per_element_bits, simd_bits,
+            "matmul_nt diverges from per-element dot at {m}x{k}x{n}"
+        );
+
+        let speedup = per_element_ns as f64 / simd_ns.max(1) as f64;
+        let gflops = 2.0 * (m * k * n) as f64 / simd_ns.max(1) as f64;
+        println!(
+            "bench attack_step/nt: {label} {m}x{k}x{n} per-element dot {per_element_ns} ns, \
+             scalar {scalar_ns} ns, dispatched {simd_ns} ns ({speedup:.2}x, {gflops:.2} GFLOP/s)"
+        );
+        nt_rows.push(format!(
+            "    {{\n      \"shape\": \"{label}\", \"m\": {m}, \"k\": {k}, \"n\": {n},\n      \
+             \"per_element_dot_median_ns\": {per_element_ns},\n      \
+             \"scalar_median_ns\": {scalar_ns},\n      \
+             \"dispatched_median_ns\": {simd_ns},\n      \
+             \"speedup_vs_per_element\": {speedup:.4},\n      \
+             \"dispatched_gflops\": {gflops:.4}\n    }}"
+        ));
+    }
+
     let json = format!(
         "{{\n  \"benchmark\": \"simd_kernels\",\n  \"features\": \"{}\",\n  \
          \"simd_supported\": {},\n  \"samples\": {samples},\n  \
@@ -730,12 +796,13 @@ fn bench_simd(samples: usize, threads: usize) {
          \"m\": {bm}, \"k\": {bk}, \"n\": {bn},\n    \
          \"looped_median_ns\": {looped_ns},\n    \"batched_median_ns\": {batched_ns},\n    \
          \"speedup\": {batched_speedup:.4},\n    \
-         \"batched_gflops\": {batched_gflops:.4}\n  }}\n}}\n",
+         \"batched_gflops\": {batched_gflops:.4}\n  }},\n  \"nt\": [\n{}\n  ]\n}}\n",
         kernels::features(),
         kernels::simd_supported(),
         rows.join(",\n"),
         kernels::gemm_isa().name(),
         tiled_rows.join(",\n"),
+        nt_rows.join(",\n"),
         host = host_parallelism(),
     );
     write_json("BENCH_simd", &json);

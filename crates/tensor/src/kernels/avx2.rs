@@ -17,10 +17,11 @@
 
 use super::scalar;
 use core::arch::x86_64::{
-    __m256i, _mm256_add_ps, _mm256_blendv_ps, _mm256_cmp_ps, _mm256_cmpgt_epi32, _mm256_div_ps,
-    _mm256_fmadd_ps, _mm256_fnmadd_ps, _mm256_loadu_ps, _mm256_maskload_ps, _mm256_maskstore_ps,
-    _mm256_max_ps, _mm256_min_ps, _mm256_mul_ps, _mm256_set1_epi32, _mm256_set1_ps,
-    _mm256_setr_epi32, _mm256_setzero_ps, _mm256_storeu_ps, _mm256_sub_ps, _CMP_UNORD_Q,
+    __m256i, _mm256_add_ps, _mm256_blendv_ps, _mm256_castsi256_ps, _mm256_cmp_ps,
+    _mm256_cmpgt_epi32, _mm256_div_ps, _mm256_fmadd_ps, _mm256_fnmadd_ps, _mm256_hadd_ps,
+    _mm256_loadu_ps, _mm256_maskload_ps, _mm256_maskstore_ps, _mm256_max_ps, _mm256_min_ps,
+    _mm256_mul_ps, _mm256_permute2f128_ps, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setr_epi32,
+    _mm256_setzero_ps, _mm256_storeu_ps, _mm256_sub_ps, _CMP_UNORD_Q,
 };
 
 const W: usize = 8;
@@ -425,6 +426,59 @@ pub(super) unsafe fn gemm_tile_6x16(
                 _mm256_maskstore_ps(p.add(W), m1, a[1]);
             }
         }
+    }
+}
+
+/// AVX2 twin of [`scalar::dot_cols`].
+///
+/// Eight output columns per block share each load of `a_row`: accumulator
+/// `c` is column `j + c`'s eight lane partials, fed exactly as [`dot`]
+/// feeds its `ymm` (the `k % 8` tail through a lane mask and a blend, so
+/// untouched lanes keep their bits). The [`scalar::combine`] tree then
+/// runs for all eight columns at once: two rounds of `hadd` build
+/// `(l0+l1)+(l2+l3)` and `(l4+l5)+(l6+l7)` per column in the low and high
+/// 128-bit halves, and one add across the halves finishes it. Columns
+/// past the last full block go through [`dot`].
+///
+/// # Safety
+///
+/// Requires AVX2+FMA, verified by the caller via runtime detection.
+#[target_feature(enable = "avx2", enable = "fma")]
+pub(super) unsafe fn dot_cols(a_row: &[f32], b: &[f32], n: usize, out_row: &mut [f32]) {
+    let k = a_row.len();
+    assert!(b.len() >= k * n && out_row.len() >= n);
+    let k8 = k - k % W;
+    let tail = lane_mask(k - k8);
+    let ap = a_row.as_ptr();
+    let mut j = 0;
+    while j + W <= n {
+        let bp = b.as_ptr().add(j * k);
+        let mut acc = [_mm256_setzero_ps(); W];
+        let mut kk = 0;
+        while kk < k8 {
+            let va = _mm256_loadu_ps(ap.add(kk));
+            for (c, l) in acc.iter_mut().enumerate() {
+                *l = _mm256_fmadd_ps(va, _mm256_loadu_ps(bp.add(c * k + kk)), *l);
+            }
+            kk += W;
+        }
+        if kk < k {
+            let va = _mm256_maskload_ps(ap.add(kk), tail);
+            for (c, l) in acc.iter_mut().enumerate() {
+                let vb = _mm256_maskload_ps(bp.add(c * k + kk), tail);
+                *l = _mm256_blendv_ps(*l, _mm256_fmadd_ps(va, vb, *l), _mm256_castsi256_ps(tail));
+            }
+        }
+        let q0 = _mm256_hadd_ps(_mm256_hadd_ps(acc[0], acc[1]), _mm256_hadd_ps(acc[2], acc[3]));
+        let q1 = _mm256_hadd_ps(_mm256_hadd_ps(acc[4], acc[5]), _mm256_hadd_ps(acc[6], acc[7]));
+        let lo = _mm256_permute2f128_ps::<0x20>(q0, q1);
+        let hi = _mm256_permute2f128_ps::<0x31>(q0, q1);
+        _mm256_storeu_ps(out_row.as_mut_ptr().add(j), _mm256_add_ps(lo, hi));
+        j += W;
+    }
+    while j < n {
+        out_row[j] = dot(a_row, &b[j * k..j * k + k]);
+        j += 1;
     }
 }
 

@@ -395,6 +395,11 @@ dispatched! {
     /// `b` is `k x n` row-major. See [`scalar::matmul_row`].
     matmul_row(a_row: &[f32], b: &[f32], n: usize, out_row: &mut [f32])
 }
+dispatched! {
+    /// One output row of `a * b^T`: `out_row[j] = dot(a_row, b.row(j))`
+    /// for the `n x k` row-major `b`. See [`scalar::dot_cols`].
+    dot_cols(a_row: &[f32], b: &[f32], n: usize, out_row: &mut [f32])
+}
 
 #[cfg(test)]
 mod tests {

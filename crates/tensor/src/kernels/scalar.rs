@@ -152,6 +152,19 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     combine(&acc)
 }
 
+/// One output row of `a * b^T`: `out_row[j] = dot(a_row, b.row(j))` for
+/// every `j < n`, where `b` is `n x k` row-major (`k = a_row.len()`).
+///
+/// This is the per-element definition; the AVX2 twin computes eight
+/// columns per block and must match it bit for bit.
+pub fn dot_cols(a_row: &[f32], b: &[f32], n: usize, out_row: &mut [f32]) {
+    let k = a_row.len();
+    debug_assert_eq!(k * n, b.len());
+    for (j, o) in out_row.iter_mut().enumerate().take(n) {
+        *o = dot(a_row, &b[j * k..j * k + k]);
+    }
+}
+
 /// Sum of squares via eight lane-strided fused partials and [`combine`].
 pub fn sum_sq(a: &[f32]) -> f32 {
     let mut acc = [0.0f32; LANES];

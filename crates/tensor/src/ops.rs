@@ -433,8 +433,8 @@ impl Matrix {
         let (k, m) = self.shape();
         let n = other.cols();
         assert_eq!(out.shape(), (m, n), "matmul_tn_into: output shape mismatch");
-        out.as_mut_slice().fill(0.0);
         if m == 0 || n == 0 || k == 0 {
+            out.as_mut_slice().fill(0.0);
             return Ok(());
         }
         kernels::count_dispatch(m);
@@ -447,6 +447,7 @@ impl Matrix {
         if gemm::use_tiled(m, k, n) {
             gemm::gemm_into(packed.as_slice(), other.as_slice(), m, k, n, out.as_mut_slice());
         } else {
+            out.as_mut_slice().fill(0.0);
             let b = other.as_slice();
             let packed_ref = &packed;
             for_each_out_row(out, m * k * n, |i, out_row| {
@@ -473,6 +474,12 @@ impl Matrix {
     /// output element is fully overwritten, so recycled buffers are safe
     /// without pre-zeroing.
     ///
+    /// Each element is `kernels::dot(self.row(i), other.row(j))` bit for
+    /// bit; every output row is one [`kernels::dot_cols`] call, eight
+    /// columns per block. The tiled GEMM cannot serve this route: its
+    /// single ascending-`k` chain per element is not `dot`'s eight
+    /// lane-strided chains, so it would change the bits.
+    ///
     /// # Errors
     ///
     /// Returns a [`ShapeError`] when `self.cols() != other.cols()`.
@@ -488,12 +495,10 @@ impl Matrix {
         let k = self.cols();
         let n = other.rows();
         assert_eq!(out.shape(), (m, n), "matmul_nt_into: output shape mismatch");
-        kernels::count_dispatch(m * n);
+        kernels::count_dispatch(m);
+        let b = other.as_slice();
         for_each_out_row(out, m * k * n, |i, out_row| {
-            let a_row = self.row(i);
-            for (j, o) in out_row.iter_mut().enumerate().take(n) {
-                *o = kernels::dot(a_row, other.row(j));
-            }
+            kernels::dot_cols(self.row(i), b, n, out_row);
         });
         Ok(())
     }

@@ -43,6 +43,21 @@ fn on_both_paths(f: impl Fn() -> Vec<u32>) -> (Vec<u32>, Option<Vec<u32>>) {
     (scalar_path, simd_path)
 }
 
+/// `a * b^T` through the dispatched `matmul_nt_into`, over a dirty
+/// output so a missed element shows.
+fn nt_bits(a: &Matrix, b: &Matrix) -> Vec<u32> {
+    let mut out = Matrix::from_fn(a.rows(), b.rows(), |_, _| f32::NAN);
+    a.matmul_nt_into(b, &mut out).unwrap();
+    bits(out.as_slice())
+}
+
+/// The per-element definition of `a * b^T`.
+fn nt_reference(a: &Matrix, b: &Matrix) -> Vec<u32> {
+    (0..a.rows())
+        .flat_map(|i| (0..b.rows()).map(move |j| scalar::dot(a.row(i), b.row(j)).to_bits()))
+        .collect()
+}
+
 fn arb_vec(max_len: usize) -> impl Strategy<Value = Vec<f32>> {
     (0..=max_len).prop_flat_map(|n| proptest::collection::vec(-100.0f32..100.0, n))
 }
@@ -216,6 +231,29 @@ proptest! {
         }
     }
 
+    /// `matmul_nt` must be, element for element, the per-element dot
+    /// product it replaced — `scalar::dot(a.row(i), b.row(j))` — on both
+    /// dispatch legs, on shapes whose `k` and `n` straddle the 8-lane
+    /// width (including `k = 0` and `n < 8`). Comparing against the
+    /// reference (not only leg against leg) catches an order change both
+    /// legs would share.
+    #[test]
+    fn matmul_nt_matches_per_element_dot(
+        m in 0usize..6,
+        k in 0usize..40,
+        n in 0usize..40,
+        seed in -2.0f32..2.0,
+    ) {
+        let a = Matrix::from_fn(m, k, |r, c| ((r * 7 + c) as f32 * 0.43 + seed).sin());
+        let b = Matrix::from_fn(n, k, |r, c| ((r * 5 + c) as f32 * 0.29 - seed).cos());
+        let (scalar_path, simd_path) = on_both_paths(|| nt_bits(&a, &b));
+        let reference = nt_reference(&a, &b);
+        prop_assert_eq!(&scalar_path, &reference);
+        if let Some(simd_path) = simd_path {
+            prop_assert_eq!(&simd_path, &reference);
+        }
+    }
+
     /// The three matmul variants, transpose and elementwise tanh at the
     /// `Matrix` level — including zero-row and zero-column operands — must
     /// not depend on which dispatch path ran them.
@@ -333,5 +371,26 @@ fn tiled_gemm_crosses_band_and_panel_boundaries() {
     let (ref_label, reference) = &runs[0];
     for (label, run) in &runs[1..] {
         assert_eq!(run, reference, "leg {label} diverged from {ref_label}");
+    }
+}
+
+/// The shapes the attack step runs through `matmul_nt`: ResGCN's
+/// `4096x32 * (64x32)^T` input gradient plus ragged edges (`k = 0`,
+/// `n < 8`, `k` and `n` not multiples of 8). Both legs must equal the
+/// per-element `scalar::dot` reference, also with the work split across
+/// a worker pool.
+#[test]
+fn matmul_nt_attack_shapes_match_per_element_dot() {
+    let pool = colper_runtime::Runtime::new(2);
+    for (m, k, n) in [(4096, 32, 64), (3, 0, 5), (5, 13, 3), (17, 9, 8), (33, 64, 17)] {
+        let a = Matrix::from_fn(m, k, |r, c| ((r * 13 + c) as f32 * 0.017).sin());
+        let b = Matrix::from_fn(n, k, |r, c| ((r * 3 + c) as f32 * 0.023).cos());
+        let reference = nt_reference(&a, &b);
+        let (scalar_path, simd_path) = on_both_paths(|| nt_bits(&a, &b));
+        assert_eq!(scalar_path, reference, "scalar leg at {m}x{k}x{n}");
+        if let Some(simd_path) = simd_path {
+            assert_eq!(simd_path, reference, "SIMD leg at {m}x{k}x{n}");
+        }
+        assert_eq!(pool.install(|| nt_bits(&a, &b)), reference, "pooled at {m}x{k}x{n}");
     }
 }
