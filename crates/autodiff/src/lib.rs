@@ -47,7 +47,5 @@ mod schedule;
 mod tape;
 
 pub use grad_check::{check_gradient, GradCheckReport};
-pub use schedule::{
-    schedule_enabled, set_schedule_enabled, CompileSpec, HingeSpec, ScheduleError, TapeSchedule,
-};
+pub use schedule::{schedule_enabled, CompileSpec, HingeSpec, ScheduleError, TapeSchedule};
 pub use tape::{Tape, Var};

@@ -16,9 +16,7 @@
 //!   fusion collapses `matmul → add_row (→ activation)` chains and
 //!   `gather_rows → sub` pairs into single steps and recycles the
 //!   intermediate buffers; `weighted_gather` is the already-fused
-//!   gather + weighted-sum op. Independent matmuls that share one weight
-//!   operand and one input shape are additionally grouped into a single
-//!   strided batched GEMM step (see [`TapeSchedule::batched_groups`]).
+//!   gather + weighted-sum op.
 //!
 //! The backward candidate list (reachability mark pass over `requires_grad
 //! && live`) is also frozen at compile time, so replay skips graph
@@ -36,42 +34,21 @@ use crate::group;
 use crate::tape::{step_backward, Node, Op, Tape, Value, Var};
 use colper_tensor::{kernels, Matrix};
 use std::fmt;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::OnceLock;
 
-const STATE_UNINIT: u8 = 0;
-const STATE_OFF: u8 = 1;
-const STATE_ON: u8 = 2;
-
-/// Process-global schedule gate, mirroring the obs trace gate: lazily
-/// seeded from `COLPER_SCHEDULE`, overridable by [`set_schedule_enabled`].
-static STATE: AtomicU8 = AtomicU8::new(STATE_UNINIT);
-
-fn detect() -> u8 {
-    match std::env::var("COLPER_SCHEDULE") {
-        Ok(v) if v.is_empty() || v == "0" || v.eq_ignore_ascii_case("off") => STATE_OFF,
-        _ => STATE_ON,
-    }
-}
-
-/// Whether attack loops should compile and replay static schedules.
+/// Whether attack loops compile and replay static schedules by default.
 ///
-/// Defaults to on; `COLPER_SCHEDULE=0` (or `off`, or empty) pins the
-/// dynamic tape path. Schedules are a pure amortization — results are
-/// bit-identical either way.
+/// Read once from `COLPER_SCHEDULE`: unset or empty means on, `0` or
+/// `off` pins the dynamic tape path. This is only the default — each
+/// attack session may override it (`AttackSession::schedule`).
+/// Schedules are a pure amortization — results are bit-identical either
+/// way.
 pub fn schedule_enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        STATE_UNINIT => {
-            let s = detect();
-            STATE.store(s, Ordering::Relaxed);
-            s == STATE_ON
-        }
-        s => s == STATE_ON,
-    }
-}
-
-/// Overrides the `COLPER_SCHEDULE` gate for this process (tests, benches).
-pub fn set_schedule_enabled(on: bool) {
-    STATE.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
+    static DEFAULT: OnceLock<bool> = OnceLock::new();
+    *DEFAULT.get_or_init(|| match std::env::var("COLPER_SCHEDULE") {
+        Ok(v) => !(v == "0" || v.eq_ignore_ascii_case("off")),
+        Err(_) => true,
+    })
 }
 
 /// Why a recorded graph could not be compiled into a [`TapeSchedule`].
@@ -184,10 +161,6 @@ enum Step {
     /// `gather_rows → sub`: the subtraction reads gathered rows straight
     /// from the source (the gather's buffer was recycled at compile).
     FusedGatherSub { gather: u32, sub: u32 },
-    /// A compile-time group of independent matmuls sharing one B operand,
-    /// executed as a single strided batched GEMM (`mm_groups[group]`
-    /// holds the member node indices in execution order).
-    BatchedMatmul { group: u32 },
 }
 
 /// A compiled, replayable attack step: the frozen op program for one
@@ -204,8 +177,6 @@ pub struct TapeSchedule {
     n_nodes: u32,
     steps: Vec<Step>,
     bwd_order: Vec<u32>,
-    /// Member node indices per batched-matmul step, in execution order.
-    mm_groups: Vec<Vec<u32>>,
     hinge: Option<HingeSpec>,
     fused_groups: u64,
     arena_bytes: u64,
@@ -338,133 +309,6 @@ impl TapeSchedule {
             keep[v.0] = true;
         }
 
-        // Strided batched-matmul grouping: dynamic matmuls that share one
-        // B operand and one A shape can run as a single batched GEMM
-        // (`Matrix::matmul_batched_with`), which is bit-identical to the
-        // per-node loop by construction. Members must be mutually
-        // independent (the filter below), and the replay order is then
-        // re-sorted so members become adjacent: a priority topological
-        // sort that sinks every member to its group's anchor (the last
-        // member's recorded position). Groups are re-derived from actual
-        // adjacency afterwards — a consumer forced between members splits
-        // the run, degrading gracefully to smaller runs or plain nodes.
-        // Single-branch production graphs have one matmul per weight and
-        // compile exactly as before (the pass is a no-op without groups).
-        let mut by_key: std::collections::HashMap<(usize, (usize, usize)), Vec<u32>> =
-            std::collections::HashMap::new();
-        for (i, &is_dynamic) in dynamic.iter().enumerate() {
-            if !is_dynamic || i == input {
-                continue;
-            }
-            if let Op::Matmul(a, b) = &tape.nodes[i].op {
-                by_key.entry((b.0, tape.nodes[a.0].value.shape())).or_default().push(i as u32);
-            }
-        }
-        let mut groups_pre: Vec<Vec<u32>> = Vec::new();
-        for members in by_key.into_values() {
-            if members.len() < 2 {
-                continue;
-            }
-            // Independence filter: drop a member whose operands
-            // transitively depend on an already-accepted member.
-            let mut dep = vec![false; n];
-            let mut kept_members: Vec<u32> = Vec::new();
-            let mut mi = 0;
-            for i in 0..n {
-                let mut d = false;
-                tape.nodes[i].op.for_each_operand(|v| d |= dep[v.0]);
-                if mi < members.len() && members[mi] as usize == i {
-                    mi += 1;
-                    if d {
-                        continue;
-                    }
-                    kept_members.push(i as u32);
-                    dep[i] = true;
-                } else {
-                    dep[i] = d;
-                }
-            }
-            if kept_members.len() >= 2 {
-                groups_pre.push(kept_members);
-            }
-        }
-        // HashMap iteration order is arbitrary; anchor keys must not be.
-        groups_pre.sort_by_key(|g| g[0]);
-
-        let mut order: Vec<u32> =
-            (0..n).filter(|&i| dynamic[i] && i != input).map(|i| i as u32).collect();
-        let mut member_of: Vec<Option<u32>> = vec![None; n];
-        let mut mm_groups: Vec<Vec<u32>> = Vec::new();
-        if !groups_pre.is_empty() {
-            let mut key: Vec<u32> = (0..n as u32).collect();
-            let mut pre_of: Vec<Option<u32>> = vec![None; n];
-            for (g, members) in groups_pre.iter().enumerate() {
-                let anchor = *members.last().expect("group is non-empty");
-                for &m in members {
-                    key[m as usize] = anchor;
-                    pre_of[m as usize] = Some(g as u32);
-                }
-            }
-            // Priority topological sort (Kahn): among ready nodes, run the
-            // smallest (key, index). Non-members keep their own index as
-            // key, so without groups this reproduces the recorded order.
-            let mut indeg = vec![0u32; n];
-            let mut succs: Vec<Vec<u32>> = vec![Vec::new(); n];
-            for &i in &order {
-                tape.nodes[i as usize].op.for_each_operand(|v| {
-                    if dynamic[v.0] && v.0 != input {
-                        indeg[i as usize] += 1;
-                        succs[v.0].push(i);
-                    }
-                });
-            }
-            let mut heap = std::collections::BinaryHeap::new();
-            for &i in &order {
-                if indeg[i as usize] == 0 {
-                    heap.push(std::cmp::Reverse((key[i as usize], i)));
-                }
-            }
-            let mut sorted: Vec<u32> = Vec::with_capacity(order.len());
-            while let Some(std::cmp::Reverse((_, i))) = heap.pop() {
-                sorted.push(i);
-                for &s in &succs[i as usize] {
-                    indeg[s as usize] -= 1;
-                    if indeg[s as usize] == 0 {
-                        heap.push(std::cmp::Reverse((key[s as usize], s)));
-                    }
-                }
-            }
-            debug_assert_eq!(sorted.len(), order.len(), "dynamic subgraph must be acyclic");
-            order = sorted;
-
-            // Re-derive groups from adjacency in the sorted order: only
-            // maximal runs of two or more same-group members batch.
-            let mut flush = |run: &mut Vec<u32>, member_of: &mut Vec<Option<u32>>| {
-                if run.len() >= 2 {
-                    let gid = mm_groups.len() as u32;
-                    for &m in run.iter() {
-                        member_of[m as usize] = Some(gid);
-                    }
-                    mm_groups.push(std::mem::take(run));
-                } else {
-                    run.clear();
-                }
-            };
-            let mut run: Vec<u32> = Vec::new();
-            let mut run_g: Option<u32> = None;
-            for &i in &order {
-                let g = pre_of[i as usize];
-                if g != run_g {
-                    flush(&mut run, &mut member_of);
-                    run_g = g;
-                }
-                if g.is_some() {
-                    run.push(i);
-                }
-            }
-            flush(&mut run, &mut member_of);
-        }
-
         // Peephole fusion over the recorded order. Soundness of stealing a
         // node's buffer: the Matmul and GatherRows backward arms read only
         // their *operand* values (and the gather's index payload), never
@@ -498,19 +342,8 @@ impl TapeSchedule {
         let mut pending: Vec<Option<Step>> = vec![None; n];
         let mut stolen: Vec<usize> = Vec::new();
         let mut fused_groups = 0u64;
-        let mut emitted_group = vec![false; mm_groups.len()];
-        for &i in &order {
-            let i = i as usize;
-            if fused[i] {
-                continue;
-            }
-            // Batched members run together at the run's first slot; their
-            // buffers are never stolen, so `keep` members are allowed.
-            if let Some(g) = member_of[i] {
-                if !emitted_group[g as usize] {
-                    emitted_group[g as usize] = true;
-                    steps.push(Step::BatchedMatmul { group: g });
-                }
+        for i in 0..n {
+            if !dynamic[i] || i == input || fused[i] {
                 continue;
             }
             if let Some(step) = pending[i].take() {
@@ -595,7 +428,6 @@ impl TapeSchedule {
 
         colper_obs::counters::SCHED_CAPTURES.incr();
         colper_obs::counters::SCHED_FUSED_OPS.add(fused_groups);
-        colper_obs::counters::SCHED_BATCHED_MMS.add(mm_groups.iter().map(|g| g.len() as u64).sum());
         colper_obs::gauges::SCHED_ARENA_BYTES.record(arena_bytes);
 
         Ok(TapeSchedule {
@@ -604,7 +436,6 @@ impl TapeSchedule {
             n_nodes: n as u32,
             steps,
             bwd_order,
-            mm_groups,
             hinge,
             fused_groups,
             arena_bytes,
@@ -642,9 +473,6 @@ impl TapeSchedule {
                 }
                 Step::FusedGatherSub { gather, sub } => {
                     exec_fused_gather_sub(&mut tape.nodes, gather as usize, sub as usize);
-                }
-                Step::BatchedMatmul { group } => {
-                    exec_batched_matmul(tape, &self.mm_groups[group as usize]);
                 }
             }
         }
@@ -694,13 +522,6 @@ impl TapeSchedule {
     /// Peephole groups fused at compile time.
     pub fn fused_groups(&self) -> u64 {
         self.fused_groups
-    }
-
-    /// Batched-matmul groups discovered at compile time: runs of two or
-    /// more independent matmuls sharing a B operand that replay as one
-    /// strided batched GEMM each.
-    pub fn batched_groups(&self) -> usize {
-        self.mm_groups.len()
     }
 
     /// Bytes of value storage the replay writes per step (after fusion
@@ -986,39 +807,6 @@ fn exec_fused_gather_sub(nodes: &mut [Node], gather: usize, sub: usize) {
     }
 }
 
-/// One strided batched GEMM over a compile-time group of independent
-/// matmul nodes sharing a B operand: the member output buffers are moved
-/// into the tape's `batch_vals` scratch, overwritten by
-/// [`Matrix::matmul_batched_with`] (bit-identical to the per-node loop by
-/// construction), and moved back. Both moves are `mem::replace` with
-/// empty placeholders and the `Vec` keeps its capacity, so steady-state
-/// replays stay allocation-free.
-fn exec_batched_matmul(tape: &mut Tape, members: &[u32]) {
-    tape.batch_vals.clear();
-    let mut b_idx = usize::MAX;
-    for &gi in members {
-        let gi = gi as usize;
-        let out = std::mem::replace(tape.nodes[gi].value.owned_mut(), Matrix::zeros(0, 0));
-        tape.batch_vals.push(out);
-        if let Op::Matmul(_, b) = &tape.nodes[gi].op {
-            b_idx = b.0;
-        }
-    }
-    let nodes = &tape.nodes;
-    let a_of = |j: usize| -> &Matrix {
-        match &nodes[members[j] as usize].op {
-            Op::Matmul(a, _) => &nodes[a.0].value,
-            _ => unreachable!("batched group member is not a matmul"),
-        }
-    };
-    Matrix::matmul_batched_with(members.len(), a_of, &nodes[b_idx].value, &mut tape.batch_vals)
-        .expect("replay batched matmul");
-    for (j, &gi) in members.iter().enumerate() {
-        let out = std::mem::replace(&mut tape.batch_vals[j], Matrix::zeros(0, 0));
-        *tape.nodes[gi as usize].value.owned_mut() = out;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1233,54 +1021,9 @@ mod tests {
     }
 
     #[test]
-    fn independent_same_weight_matmuls_batch_into_one_gemm() {
-        // Two branches multiply by the same weight with the same input
-        // shape and are mutually independent — exactly the shape-bucket
-        // condition, so compile must group them into one batched GEMM
-        // step and replay must stay bit-identical to a dynamic rebuild.
-        let build_two = |t: &mut Tape, w0: &Matrix| {
-            let w = t.leaf_from(w0);
-            let b = t.constant(mat(&[&[0.4, -0.2], &[0.3, 0.9]]));
-            let mm1 = t.matmul(w, b);
-            let a2 = t.square(w);
-            let mm2 = t.matmul(a2, b);
-            let s1 = t.sum(mm1);
-            let s2 = t.sum(mm2);
-            let loss = t.add(s1, s2);
-            t.backward(loss);
-            (loss, w, mm1)
-        };
-        let w0 = mat(&[&[0.1, -0.3], &[0.7, 0.2]]);
-        let mut t = Tape::new();
-        let (loss, w, mm1) = build_two(&mut t, &w0);
-        let keep = [mm1]; // batched members keep their buffers: `keep` is allowed
-        let schedule = TapeSchedule::compile(
-            &mut t,
-            &CompileSpec { input: w, output: loss, keep: &keep, hinge: None },
-        )
-        .unwrap();
-        assert_eq!(schedule.batched_groups(), 1, "the two independent matmuls must batch");
-        let w1 = mat(&[&[-1.0, 0.5], &[2.0, -2.0]]);
-        for wi in [&w1, &w0, &w1] {
-            // Twice per input: the second replay runs over dirty buffers.
-            schedule.replay(&mut t, wi);
-            schedule.replay(&mut t, wi);
-            let mut fresh = Tape::new();
-            let (f_loss, f_w, f_mm1) = build_two(&mut fresh, wi);
-            assert_eq!(t.value(loss).as_slice(), fresh.value(f_loss).as_slice());
-            assert_eq!(t.value(mm1).as_slice(), fresh.value(f_mm1).as_slice());
-            assert_eq!(
-                t.grad(w).unwrap().as_slice(),
-                fresh.grad(f_w).unwrap().as_slice(),
-                "batched replay gradient diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn dependent_matmuls_do_not_batch() {
-        // mm2 consumes mm1's output: same B operand, same A shape, but
-        // serial — the independence filter must reject the pair.
+    fn chained_matmuls_replay_like_a_fresh_rebuild() {
+        // mm2 consumes mm1's output through the same weight: replay must
+        // recompute them in recorded order.
         let build_chain = |t: &mut Tape, w0: &Matrix| {
             let w = t.leaf_from(w0);
             let b = t.constant(mat(&[&[0.5, 0.3], &[-0.2, 0.8]]));
@@ -1298,22 +1041,11 @@ mod tests {
             &CompileSpec { input: w, output: loss, keep: &[], hinge: None },
         )
         .unwrap();
-        assert_eq!(schedule.batched_groups(), 0, "serial matmuls must not batch");
         let w1 = mat(&[&[1.0, 0.5], &[-0.7, 2.0]]);
         schedule.replay(&mut t, &w1);
         let mut fresh = Tape::new();
         let (f_loss, f_w) = build_chain(&mut fresh, &w1);
         assert_eq!(t.value(loss).as_slice(), fresh.value(f_loss).as_slice());
         assert_eq!(t.grad(w).unwrap().as_slice(), fresh.grad(f_w).unwrap().as_slice());
-    }
-
-    #[test]
-    fn gate_override_round_trips() {
-        let before = schedule_enabled();
-        set_schedule_enabled(false);
-        assert!(!schedule_enabled());
-        set_schedule_enabled(true);
-        assert!(schedule_enabled());
-        set_schedule_enabled(before);
     }
 }

@@ -267,12 +267,6 @@ pub struct Tape {
     tri_pool: VecDeque<Vec<(usize, usize, usize)>>,
     live: Vec<bool>,
     pub(crate) visited: usize,
-    /// Scratch used by the schedule replay's batched-matmul step: member
-    /// node values are moved here, overwritten by one strided batched GEMM,
-    /// and moved back. Holds empty placeholder matrices between replays;
-    /// the `Vec` keeps its capacity, so steady-state replays do not
-    /// allocate for it.
-    pub(crate) batch_vals: Vec<Matrix>,
 }
 
 impl Tape {

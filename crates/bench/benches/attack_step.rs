@@ -18,7 +18,7 @@
 //! `--simd-only` just the kernel-dispatch/tiled-GEMM comparison.
 
 use colper_attack::{AttackConfig, AttackPlan, AttackSession, TanhReparam};
-use colper_autodiff::{set_schedule_enabled, Tape};
+use colper_autodiff::Tape;
 use colper_bench::write_json;
 use colper_geom::knn_graph;
 use colper_models::{CloudTensors, ModelInput, PointNet2, PointNet2Config, SegmentationModel};
@@ -252,17 +252,14 @@ fn bench_planned_vs_unplanned(points: usize, samples: usize, model_scale: &str) 
     const SCHED_SHORT: usize = 2;
     const SCHED_LONG: usize = 12;
     let attack_total_ns = |scheduled: bool, steps: usize| -> u128 {
-        set_schedule_enabled(scheduled);
         let mut cfg = AttackConfig::non_targeted(steps);
         cfg.convergence_threshold = Some(0.0); // never stop early
         let sched_plan = AttackPlan::build(&model, &t, &cfg);
-        let session = AttackSession::new(cfg).plan(&sched_plan);
-        let ns = time_median_ns(samples, || {
+        let session = AttackSession::new(cfg).plan(&sched_plan).schedule(scheduled);
+        time_median_ns(samples, || {
             let mut rng = StdRng::seed_from_u64(3);
             black_box(session.run_with_rng(&model, &t, &mut rng).l2_sq);
-        });
-        set_schedule_enabled(true);
-        ns
+        })
     };
     let steps_diff = (SCHED_LONG - SCHED_SHORT) as u128;
     let dynamic_step_ns = attack_total_ns(false, SCHED_LONG)
@@ -423,16 +420,14 @@ fn bench_alloc(points: usize, model_scale: &str) {
     let seq = Runtime::sequential();
 
     let attack_allocs = |steps: usize, scheduled: bool| -> (u64, u64) {
-        set_schedule_enabled(scheduled);
         let mut config = AttackConfig::non_targeted(steps);
         config.convergence_threshold = Some(0.0); // never stop early
         let plan = AttackPlan::build(&model, &t, &config);
-        let session = AttackSession::new(config).runtime(&seq).plan(&plan);
+        let session = AttackSession::new(config).runtime(&seq).plan(&plan).schedule(scheduled);
         let mut rng = StdRng::seed_from_u64(3);
         let ((), allocs, bytes) = alloc_gauge::measure(|| {
             black_box(session.run_with_rng(&model, &t, &mut rng).l2_sq);
         });
-        set_schedule_enabled(true);
         (allocs, bytes)
     };
     // Warm up before measuring: the first attack in a process pays a
@@ -546,24 +541,19 @@ fn bench_alloc(points: usize, model_scale: &str) {
 /// matmul speedup floor on hosts where the AVX2+FMA path is active, and
 /// verifies outputs are bit-identical across paths while it is at it.
 ///
-/// Two further blocks cover the GEMM rework: `tiled` times the packed
-/// register-blocked kernel against the row kernel at large shapes
+/// Two further blocks cover the GEMM drivers: `tiled` times
+/// `gemm::tiled_into` against `gemm::row_into` at large shapes
 /// (single-threaded and on a `--threads`-sized pool) and asserts the
-/// committed 2x single-threaded floor; `batched` times the strided
-/// batch-of-clouds GEMM against the per-cloud loop; `nt` times the
-/// backward `matmul_nt` route against the per-element `dot` loop it
-/// replaced. Every timed variant is bit-checked against the pinned scalar
+/// committed 2x single-threaded floor; `nt` times the backward
+/// `matmul_nt` route against the per-element `dot` loop it replaced.
+/// Every timed variant is bit-checked against the pinned scalar
 /// reference.
 fn bench_simd(samples: usize, threads: usize) {
-    use colper_tensor::{gemm_mode, kernels, set_gemm_mode, GemmMode};
+    use colper_tensor::{gemm, kernels};
 
     let shapes: [(usize, usize, usize); 3] = [(64, 64, 64), (256, 64, 64), (512, 128, 64)];
     let seq = Runtime::sequential();
     let was = kernels::simd_active();
-    let was_mode = gemm_mode();
-    // The row block times the row kernel regardless of routing, so its
-    // numbers stay comparable with the committed history.
-    set_gemm_mode(GemmMode::Row);
     let mut rows = Vec::new();
     let mut headline_speedup = 0.0f64;
 
@@ -574,9 +564,11 @@ fn bench_simd(samples: usize, threads: usize) {
 
         let mut run_path = |simd: bool| -> (u128, Vec<u32>) {
             kernels::set_simd_enabled(simd);
+            // The row driver by name, so these numbers stay comparable
+            // with the committed history whatever the shape routing.
             let ns = seq.install(|| {
                 time_median_ns(samples, || {
-                    a.matmul_into(&b, &mut out).expect("shape");
+                    gemm::row_into(&a, &b, &mut out);
                     black_box(out.as_slice().first().copied());
                 })
             });
@@ -628,25 +620,23 @@ fn bench_simd(samples: usize, threads: usize) {
         let b = Matrix::from_fn(k, n, |r, c| ((r * 17 + c) as f32 * 0.23).cos());
         let mut out = Matrix::zeros(m, n);
 
-        let mut run_leg = |mode: GemmMode, simd: bool, rt: &Runtime| -> (u128, Vec<u32>) {
-            kernels::set_simd_enabled(simd);
-            set_gemm_mode(mode);
+        let mut run_leg = |driver: fn(&Matrix, &Matrix, &mut Matrix), rt: &Runtime| {
             let ns = rt.install(|| {
                 time_median_ns(samples, || {
-                    a.matmul_into(&b, &mut out).expect("shape");
+                    driver(&a, &b, &mut out);
                     black_box(out.as_slice().first().copied());
                 })
             });
-            (ns, out.as_slice().iter().map(|v| v.to_bits()).collect())
+            (ns, out.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<u32>>())
         };
-        let (row_ns, row_bits) = run_leg(GemmMode::Row, true, &seq);
-        let (tiled_ns, tiled_bits) = run_leg(GemmMode::Tiled, true, &seq);
-        let (tiled_mt_ns, tiled_mt_bits) = run_leg(GemmMode::Tiled, true, &pool);
+        kernels::set_simd_enabled(true);
+        let (row_ns, row_bits) = run_leg(gemm::row_into, &seq);
+        let (tiled_ns, tiled_bits) = run_leg(gemm::tiled_into, &seq);
+        let (tiled_mt_ns, tiled_mt_bits) = run_leg(gemm::tiled_into, &pool);
         // The pinned scalar reference through the tiled driver: one call
         // is enough for the bit check.
         kernels::set_simd_enabled(false);
-        set_gemm_mode(GemmMode::Tiled);
-        a.matmul_into(&b, &mut out).expect("shape");
+        gemm::tiled_into(&a, &b, &mut out);
         let scalar_bits: Vec<u32> = out.as_slice().iter().map(|v| v.to_bits()).collect();
         kernels::set_simd_enabled(was);
         assert_eq!(row_bits, tiled_bits, "tiled GEMM diverges from row kernel at {m}x{k}x{n}");
@@ -680,46 +670,6 @@ fn bench_simd(samples: usize, threads: usize) {
              (committed floor: 2x single-threaded)"
         );
     }
-
-    // Strided batch-of-clouds GEMM vs the per-cloud loop, at one seat
-    // pool's worth of same-bucket clouds. Both legs run the production
-    // (`Auto`) routing, so the delta isolates the shared-B packing win.
-    let (bcount, bm, bk, bn) = (12, 96, 256, 256);
-    let clouds: Vec<Matrix> = (0..bcount)
-        .map(|i| Matrix::from_fn(bm, bk, |r, c| ((r * 29 + c * 7 + i) as f32 * 0.13).sin()))
-        .collect();
-    let bmat = Matrix::from_fn(bk, bn, |r, c| ((r * 17 + c) as f32 * 0.23).cos());
-    let mut outs = vec![Matrix::zeros(bm, bn); bcount];
-    set_gemm_mode(GemmMode::Auto);
-    kernels::set_simd_enabled(was);
-    let looped_ns = seq.install(|| {
-        time_median_ns(samples, || {
-            for (cloud, out) in clouds.iter().zip(&mut outs) {
-                cloud.matmul_into(&bmat, out).expect("shape");
-            }
-            black_box(outs[0].as_slice().first().copied());
-        })
-    });
-    let looped_bits: Vec<u32> =
-        outs.iter().flat_map(|o| o.as_slice().iter().map(|v| v.to_bits())).collect();
-    let refs: Vec<&Matrix> = clouds.iter().collect();
-    let batched_ns = seq.install(|| {
-        time_median_ns(samples, || {
-            Matrix::matmul_batched_into(&refs, &bmat, &mut outs).expect("shape");
-            black_box(outs[0].as_slice().first().copied());
-        })
-    });
-    let batched_bits: Vec<u32> =
-        outs.iter().flat_map(|o| o.as_slice().iter().map(|v| v.to_bits())).collect();
-    assert_eq!(looped_bits, batched_bits, "batched GEMM diverges from the per-cloud loop");
-    let batched_speedup = looped_ns as f64 / batched_ns.max(1) as f64;
-    let batched_flops = 2.0 * (bcount * bm * bk * bn) as f64;
-    let batched_gflops = batched_flops / batched_ns.max(1) as f64;
-    println!(
-        "bench attack_step/batched: {bcount} clouds {bm}x{bk}x{bn} looped {looped_ns} ns, \
-         batched {batched_ns} ns ({batched_speedup:.2}x, {batched_gflops:.2} GF/s)"
-    );
-    set_gemm_mode(was_mode);
 
     // The `dA = dY * B^T` arm of every matmul backward: the per-element
     // `dot` loop `matmul_nt` used to run, against the packed `dot_cols`
@@ -792,11 +742,7 @@ fn bench_simd(samples: usize, threads: usize) {
          \"best_matmul_speedup\": {headline_speedup:.4},\n  \"matmul\": [\n{}\n  ],\n  \
          \"tiled\": {{\n    \"isa\": \"{}\",\n    \"threads\": {threads},\n    \
          \"best_tiled_speedup\": {best_tiled_speedup:.4},\n    \"shapes\": [\n{}\n    ]\n  }},\n  \
-         \"batched\": {{\n    \"clouds\": {bcount},\n    \
-         \"m\": {bm}, \"k\": {bk}, \"n\": {bn},\n    \
-         \"looped_median_ns\": {looped_ns},\n    \"batched_median_ns\": {batched_ns},\n    \
-         \"speedup\": {batched_speedup:.4},\n    \
-         \"batched_gflops\": {batched_gflops:.4}\n  }},\n  \"nt\": [\n{}\n  ]\n}}\n",
+         \"nt\": [\n{}\n  ]\n}}\n",
         kernels::features(),
         kernels::simd_supported(),
         rows.join(",\n"),

@@ -137,6 +137,7 @@ impl PlateauTracker {
 pub struct Colper {
     config: AttackConfig,
     runtime: Runtime,
+    schedule: bool,
 }
 
 impl PartialEq for Colper {
@@ -153,7 +154,11 @@ impl Colper {
     /// to the ambient [`Runtime`] of the calling thread; use
     /// [`Colper::with_runtime`] to pin one explicitly.
     pub fn new(config: AttackConfig) -> Self {
-        Self { config, runtime: Runtime::sequential() }
+        Self {
+            config,
+            runtime: Runtime::sequential(),
+            schedule: colper_autodiff::schedule_enabled(),
+        }
     }
 
     /// Attaches a compute runtime. An explicit pool here overrides the
@@ -162,6 +167,14 @@ impl Colper {
     #[must_use]
     pub fn with_runtime(mut self, runtime: Runtime) -> Self {
         self.runtime = runtime;
+        self
+    }
+
+    /// Whether steady steps may compile and replay a static schedule
+    /// (defaults to [`colper_autodiff::schedule_enabled`]).
+    #[must_use]
+    pub(crate) fn with_schedule(mut self, on: bool) -> Self {
+        self.schedule = on;
         self
     }
 
@@ -313,7 +326,7 @@ impl Colper {
         let mut best_colors = Matrix::clone(&orig);
         let mut best_preds: Vec<usize> = Vec::new();
 
-        // Static-schedule eligibility: single-sample path, global gate on,
+        // Static-schedule eligibility: single-sample path, schedules on,
         // a victim whose eval forward is a pure function of its inputs
         // (RandLA-Net's random sampling is not), and capture inputs that
         // pass shape validation. When eligible, the key pins everything
@@ -321,7 +334,7 @@ impl Colper {
         // storage, the plan's interned tensors, and the run's labels /
         // mask / original colors.
         let schedule_eligible = cfg.gradient_samples == 1
-            && colper_autodiff::schedule_enabled()
+            && self.schedule
             && model.deterministic_eval()
             && penalty_ctx.is_none()
             && CaptureShapes::check(n, &plan.xyz, &orig, &plan.loc01).is_ok();

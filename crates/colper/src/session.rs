@@ -73,6 +73,7 @@ pub struct AttackSession<'a> {
     objective: Option<Objective>,
     penalty_model: Option<&'a dyn SegmentationModel>,
     penalty_view: Option<&'a CloudTensors>,
+    schedule: bool,
 }
 
 impl<'a> AttackSession<'a> {
@@ -88,6 +89,7 @@ impl<'a> AttackSession<'a> {
             objective: None,
             penalty_model: None,
             penalty_view: None,
+            schedule: colper_autodiff::schedule_enabled(),
         }
     }
 
@@ -179,6 +181,20 @@ impl<'a> AttackSession<'a> {
         self
     }
 
+    /// Whether steady attack steps compile and replay a static schedule
+    /// (on by default; `COLPER_SCHEDULE=0` changes the default). Off pins
+    /// the dynamic tape, which computes bit-identical results.
+    #[must_use]
+    pub fn schedule(mut self, on: bool) -> Self {
+        self.schedule = on;
+        self
+    }
+
+    /// The attack engine for one run under `cfg`.
+    fn engine(&self, cfg: AttackConfig) -> Colper {
+        Colper::new(cfg).with_runtime(self.runtime.clone()).with_schedule(self.schedule)
+    }
+
     /// The configuration the engine runs under: the objective's goal
     /// (when one is set) overrides the configured goal.
     fn effective_config(&self) -> AttackConfig {
@@ -261,7 +277,7 @@ impl<'a> AttackSession<'a> {
                 &built
             }
         };
-        Colper::new(cfg).with_runtime(self.runtime.clone()).run_planned_obs_full(
+        self.engine(cfg).run_planned_obs_full(
             model,
             cloud,
             &mask,
@@ -299,7 +315,7 @@ impl<'a> AttackSession<'a> {
                 &built
             }
         };
-        Colper::new(cfg).with_runtime(self.runtime.clone()).run_planned_obs_full(
+        self.engine(cfg).run_planned_obs_full(
             model,
             cloud,
             &mask,
@@ -373,7 +389,7 @@ impl<'a> AttackSession<'a> {
             let result = if let Some(Objective::NoiseBaseline { l2_sq }) = self.objective {
                 NoiseBaseline::new(l2_sq).run(model, t, &mask, &mut rng)
             } else {
-                Colper::new(cfg.clone()).run_planned_obs_full(
+                Colper::new(cfg.clone()).with_schedule(self.schedule).run_planned_obs_full(
                     model,
                     t,
                     &mask,

@@ -1,10 +1,11 @@
-//! Register-blocked, cache-tiled GEMM driver with pooled packing panels
-//! and strided batch-of-clouds execution.
+//! Matmul routing: the row-at-a-time driver and the register-blocked,
+//! cache-tiled GEMM driver with pooled packing panels.
 //!
-//! The row-at-a-time kernel ([`crate::kernels::matmul_row`]) streams the
-//! full `B` operand from memory once per output row, which is optimal
-//! while `B` fits in L1/L2 but collapses once it does not. This module
-//! adds the classic three-level blocking on top of the same arithmetic:
+//! The row driver ([`row_into`], over [`crate::kernels::matmul_row`])
+//! streams the full `B` operand from memory once per output row, which is
+//! optimal while `B` fits in L1/L2 but collapses once it does not. The
+//! tiled driver ([`tiled_into`]) adds the classic three-level blocking on
+//! top of the same arithmetic:
 //!
 //! * **`KC` blocking** — the `k` dimension is processed in blocks of
 //!   [`KC`]; each output element's partial sum is stored to `C` between
@@ -29,17 +30,16 @@
 //! work-stealing runtime; each band owns its rows exclusively, so
 //! results are bit-identical at any thread count.
 //!
-//! `gemm_batched` lifts the same driver over `N` same-shape clouds:
-//! `B` is packed **once** per `KC` block and every cloud replays the
-//! identical per-cloud band loop against it, so packing and dispatch
-//! amortize across the batch while each cloud's result stays bit-equal
-//! to its standalone matmul.
+//! [`Matrix::matmul_into`] and [`Matrix::matmul_tn_into`] pick a driver
+//! by shape alone: the tiled one when both output sides are at least
+//! [`TILED_MIN_DIM`] and the `B` footprint `k * n` is at least
+//! [`TILED_MIN_KN`]. Both drivers compute the same bits, so the choice
+//! only moves performance.
 
 use crate::kernels::{self, GemmIsa};
-use crate::par::{runtime_for, MIN_PAR_MACS};
+use crate::par::{for_each_out_row, runtime_for, MIN_PAR_MACS};
 use crate::{BufferPool, Matrix};
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// `k`-dimension block: one packed `A` band (`MC x KC`) plus the live
 /// `C` tile stay cache-resident while a `B` panel streams.
@@ -50,91 +50,29 @@ pub const KC: usize = 256;
 /// identically on all instruction-set legs.
 pub const MC: usize = 96;
 
-/// `Auto` routing: smallest `m`/`n` for which the tiled path may win.
+/// Smallest `m`/`n` for which the tiled driver may win.
 pub const TILED_MIN_DIM: usize = 16;
 
-/// `Auto` routing: smallest `k * n` (the `B` footprint in elements) for
-/// which the tiled path may win; below this the row kernel keeps `B`
-/// L1/L2-resident and is already near peak.
+/// Smallest `k * n` (the `B` footprint in elements) for which the tiled
+/// driver may win; below this the row kernel keeps `B` L1/L2-resident
+/// and is already near peak.
 pub const TILED_MIN_KN: usize = 1 << 15;
 
-const GM_UNINIT: u8 = 0;
-const GM_ROW: u8 = 1;
-const GM_AUTO: u8 = 2;
-const GM_TILED: u8 = 3;
-
-static GEMM_MODE: AtomicU8 = AtomicU8::new(GM_UNINIT);
-
-/// How matmuls route between the row kernel and the tiled GEMM.
-///
-/// Every choice is bit-identical to every other — the paths share one
-/// per-element accumulation order — so the mode only moves performance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GemmMode {
-    /// Always the row-at-a-time kernel (the pre-tiling behaviour).
-    Row,
-    /// Shape-based routing: tiled when `m >= 16 && n >= 16` and the `B`
-    /// footprint `k * n` exceeds [`TILED_MIN_KN`], row kernel otherwise.
-    Auto,
-    /// Always the tiled GEMM (tests and benches; small shapes pay the
-    /// packing overhead).
-    Tiled,
-}
-
-fn detect_mode() -> u8 {
-    match std::env::var("COLPER_GEMM") {
-        Ok(v) => {
-            let v = v.to_ascii_lowercase();
-            if v == "row" || v == "off" || v == "0" {
-                GM_ROW
-            } else if v == "tiled" {
-                GM_TILED
-            } else {
-                GM_AUTO
-            }
-        }
-        Err(_) => GM_AUTO,
-    }
-}
-
-/// The active GEMM routing mode. The first call probes `COLPER_GEMM`
-/// (`row`/`off`/`0` pin the row kernel, `tiled` forces the tiled path);
-/// afterwards a relaxed atomic load.
-pub fn gemm_mode() -> GemmMode {
-    let m = GEMM_MODE.load(Ordering::Relaxed);
-    let m = if m == GM_UNINIT {
-        let d = detect_mode();
-        GEMM_MODE.store(d, Ordering::Relaxed);
-        d
-    } else {
-        m
-    };
-    match m {
-        GM_ROW => GemmMode::Row,
-        GM_TILED => GemmMode::Tiled,
-        _ => GemmMode::Auto,
-    }
-}
-
-/// Overrides the `COLPER_GEMM` probe. Safe to flip at any time from any
-/// thread: the paths are bit-identical, so only performance changes.
-pub fn set_gemm_mode(mode: GemmMode) {
-    let m = match mode {
-        GemmMode::Row => GM_ROW,
-        GemmMode::Auto => GM_AUTO,
-        GemmMode::Tiled => GM_TILED,
-    };
-    GEMM_MODE.store(m, Ordering::Relaxed);
-}
-
-/// Whether an `[m,k] x [k,n]` product routes to the tiled driver under
-/// the active [`gemm_mode`].
+/// Whether an `[m,k] x [k,n]` product routes to [`tiled_into`] rather
+/// than [`row_into`].
 pub(crate) fn use_tiled(m: usize, k: usize, n: usize) -> bool {
-    match gemm_mode() {
-        GemmMode::Row => false,
-        GemmMode::Tiled => true,
-        GemmMode::Auto => m >= TILED_MIN_DIM && n >= TILED_MIN_DIM && k * n >= TILED_MIN_KN,
-    }
+    m >= TILED_MIN_DIM && n >= TILED_MIN_DIM && k * n >= TILED_MIN_KN
+}
+
+/// Panics unless `out = a * b` is shape-consistent.
+fn check_shapes(a: &Matrix, b: &Matrix, out: &Matrix) {
+    assert!(
+        a.cols() == b.rows() && out.shape() == (a.rows(), b.cols()),
+        "gemm: {:?} x {:?} -> {:?} is not a matmul",
+        a.shape(),
+        b.shape(),
+        out.shape()
+    );
 }
 
 thread_local! {
@@ -213,11 +151,11 @@ fn pack_a_band(
     }
 }
 
-/// Credits the deterministic micro-tile invocation count for `clouds`
-/// same-shape products to `gemm.tile.tasks` (computed arithmetically, so
-/// the total is independent of thread count and chunking).
-fn count_tile_tasks(clouds: usize, m: usize, k: usize, n: usize, mr: usize, nr: usize) {
-    let tiles = clouds * m.div_ceil(mr) * n.div_ceil(nr) * k.div_ceil(KC);
+/// Credits the deterministic micro-tile invocation count of one product
+/// to `gemm.tile.tasks` (computed arithmetically, so the total is
+/// independent of thread count and chunking).
+fn count_tile_tasks(m: usize, k: usize, n: usize, mr: usize, nr: usize) {
+    let tiles = m.div_ceil(mr) * n.div_ceil(nr) * k.div_ceil(KC);
     colper_obs::counters::GEMM_TILE_TASKS.add(tiles as u64);
 }
 
@@ -277,21 +215,46 @@ fn run_bands(
     }
 }
 
-/// Tiled `[m,k] x [k,n] -> [m,n]` into `out` (fully overwritten; `init`
-/// semantics make pre-zeroing unnecessary). Bit-identical to the row
-/// kernel path for every input, SIMD leg and thread count.
-pub(crate) fn gemm_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    debug_assert!(a.len() >= m * k && b.len() >= k * n && out.len() == m * n);
+/// The row driver: `out = a * b` one output row per
+/// [`kernels::matmul_row`] call (`out` is zeroed first, so recycled
+/// buffers are safe), rows split across the ambient runtime.
+///
+/// # Panics
+///
+/// Panics when `a.cols() != b.rows()` or `out` is not `[a.rows(), b.cols()]`.
+pub fn row_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    check_shapes(a, b, out);
+    let (m, k) = a.shape();
+    let n = b.cols();
+    kernels::count_dispatch(m);
+    out.as_mut_slice().fill(0.0);
+    let b = b.as_slice();
+    for_each_out_row(out, m * k * n, |i, out_row| kernels::matmul_row(a.row(i), b, n, out_row));
+}
+
+/// The tiled driver: `out = a * b` (fully overwritten; `init` semantics
+/// make pre-zeroing unnecessary). Bit-identical to [`row_into`] for
+/// every input, SIMD leg and thread count.
+///
+/// # Panics
+///
+/// Panics when `a.cols() != b.rows()` or `out` is not `[a.rows(), b.cols()]`.
+pub fn tiled_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    check_shapes(a, b, out);
+    let (m, k) = a.shape();
+    let n = b.cols();
+    kernels::count_dispatch(m);
     if m == 0 || n == 0 {
         return;
     }
     if k == 0 {
-        out.fill(0.0);
+        out.as_mut_slice().fill(0.0);
         return;
     }
     let isa = kernels::gemm_isa();
     let (mr, nr) = isa.micro_tile();
-    count_tile_tasks(1, m, k, n, mr, nr);
+    count_tile_tasks(m, k, n, mr, nr);
+    let (a, b, out) = (a.as_slice(), b.as_slice(), out.as_mut_slice());
     let mut pc = 0;
     while pc < k {
         let kc = KC.min(k - pc);
@@ -303,85 +266,19 @@ pub(crate) fn gemm_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out:
     }
 }
 
-/// Strided batch-of-clouds GEMM: `count` same-shape `[m,k]` left
-/// operands (produced by `a_of`) against one shared `[k,n]` right
-/// operand, into `outs`. `B` is packed once per `k`-block and every
-/// cloud replays the identical per-cloud band loop, so each `outs[i]` is
-/// bit-identical to `a_of(i).matmul(b)` while packing and dispatch
-/// amortize across the batch.
-pub(crate) fn gemm_batched<'a>(
-    count: usize,
-    a_of: impl Fn(usize) -> &'a [f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    outs: &mut [Matrix],
-) {
-    debug_assert!(outs.len() == count);
-    if count == 0 || m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        for o in outs.iter_mut() {
-            o.as_mut_slice().fill(0.0);
-        }
-        return;
-    }
-    let isa = kernels::gemm_isa();
-    let (mr, nr) = isa.micro_tile();
-    count_tile_tasks(count, m, k, n, mr, nr);
-    let mut pc = 0;
-    while pc < k {
-        let kc = KC.min(k - pc);
-        let mut bpanel = pack_scratch(1, n.div_ceil(nr) * nr * kc);
-        pack_b_block(b, n, pc, kc, nr, bpanel.as_mut_slice());
-        for (i, out) in outs.iter_mut().enumerate() {
-            run_bands(
-                a_of(i),
-                m,
-                k,
-                n,
-                pc,
-                kc,
-                pc == 0,
-                bpanel.as_slice(),
-                isa,
-                out.as_mut_slice(),
-            );
-        }
-        pack_recycle(bpanel);
-        pc += kc;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn mode_override_round_trips() {
-        let was = gemm_mode();
-        for mode in [GemmMode::Row, GemmMode::Tiled, GemmMode::Auto] {
-            set_gemm_mode(mode);
-            assert_eq!(gemm_mode(), mode);
-        }
-        set_gemm_mode(was);
-    }
-
-    #[test]
-    fn auto_routing_thresholds() {
-        let was = gemm_mode();
-        set_gemm_mode(GemmMode::Auto);
+    fn routing_is_a_pure_shape_predicate() {
         assert!(use_tiled(256, 256, 256));
-        assert!(!use_tiled(8, 256, 256), "skinny m stays on the row kernel");
+        assert!(use_tiled(16, 2048, 16), "the thresholds are inclusive");
+        assert!(!use_tiled(15, 4096, 16), "skinny m stays on the row kernel");
         assert!(!use_tiled(256, 256, 8), "skinny n stays on the row kernel");
         assert!(!use_tiled(96, 64, 64), "L1-resident B stays on the row kernel");
-        set_gemm_mode(GemmMode::Row);
-        assert!(!use_tiled(256, 256, 256));
-        set_gemm_mode(GemmMode::Tiled);
-        assert!(use_tiled(3, 3, 3));
-        set_gemm_mode(was);
+        assert!(!use_tiled(4096, 511, 64), "k * n just under the footprint threshold");
+        assert!(use_tiled(4096, 512, 64));
     }
 
     #[test]

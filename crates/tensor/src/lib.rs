@@ -40,7 +40,6 @@ mod pool;
 mod shaped;
 
 pub use error::{ShapeError, TensorError};
-pub use gemm::{gemm_mode, set_gemm_mode, GemmMode};
 pub use init::Initializer;
 pub use matrix::Matrix;
 pub use pool::BufferPool;

@@ -12,34 +12,8 @@
 
 use crate::gemm;
 use crate::kernels;
-use crate::par::{chunk_len, runtime_for, MIN_PAR_ELEMS, MIN_PAR_MACS};
+use crate::par::{chunk_len, for_each_out_row, runtime_for, MIN_PAR_ELEMS};
 use crate::{Matrix, ShapeError, TensorError};
-
-/// Runs `row_job(i, out_row)` for every row of `out`, splitting the rows
-/// across the ambient runtime when `macs` (multiply-accumulate count) makes
-/// it worthwhile. Each row is written by exactly one invocation, so the
-/// result is bit-identical to the sequential row loop.
-fn for_each_out_row(out: &mut Matrix, macs: usize, row_job: impl Fn(usize, &mut [f32]) + Sync) {
-    let (m, n) = out.shape();
-    if m == 0 || n == 0 {
-        return;
-    }
-    match runtime_for(macs, MIN_PAR_MACS) {
-        None => {
-            for i in 0..m {
-                row_job(i, out.row_mut(i));
-            }
-        }
-        Some(rt) => {
-            let rows_per = chunk_len(m, &rt);
-            rt.par_chunks_mut(out.as_mut_slice(), rows_per * n, |c, sub| {
-                for (j, out_row) in sub.chunks_mut(n).enumerate() {
-                    row_job(c * rows_per + j, out_row);
-                }
-            });
-        }
-    }
-}
 
 impl Matrix {
     /// Elementwise sum with another matrix of the same shape.
@@ -310,90 +284,10 @@ impl Matrix {
         let (m, k) = self.shape();
         let n = other.cols();
         assert_eq!(out.shape(), (m, n), "matmul_into: output shape mismatch");
-        kernels::count_dispatch(m);
         if gemm::use_tiled(m, k, n) {
-            gemm::gemm_into(self.as_slice(), other.as_slice(), m, k, n, out.as_mut_slice());
-            return Ok(());
-        }
-        out.as_mut_slice().fill(0.0);
-        let b = other.as_slice();
-        for_each_out_row(out, m * k * n, |i, out_row| {
-            kernels::matmul_row(self.row(i), b, n, out_row);
-        });
-        Ok(())
-    }
-
-    /// Batched matmul over `count` same-shape left operands against one
-    /// shared right operand: `outs[i] = batch[i] * other` for every `i`.
-    ///
-    /// When the batch and shapes clear the tiled-GEMM routing threshold,
-    /// the products run as one fused strided GEMM — the shared `other` is
-    /// packed once per `k`-block and every cloud replays the identical
-    /// band loop against it — otherwise they fall back to a per-cloud
-    /// [`Matrix::matmul_into`] loop. Both executions are bit-identical,
-    /// so batching is purely a performance decision (counted by the
-    /// `gemm.batch.fused` / `gemm.batch.looped` trace counters).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] when the left operands' shapes differ
-    /// from each other or don't match `other.rows()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `outs.len() != batch.len()` or any `outs[i]` is not
-    /// `[m, n]`.
-    pub fn matmul_batched_into(
-        batch: &[&Matrix],
-        other: &Matrix,
-        outs: &mut [Matrix],
-    ) -> Result<(), TensorError> {
-        Matrix::matmul_batched_with(batch.len(), |i| batch[i], other, outs)
-    }
-
-    /// [`Matrix::matmul_batched_into`] with the left operands produced by
-    /// a closure, for callers whose batch members live in non-contiguous
-    /// storage (e.g. compiled tape schedules executing a batched group
-    /// in place).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] when the left operands' shapes differ
-    /// from each other or don't match `other.rows()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `outs.len() != count` or any `outs[i]` is not `[m, n]`.
-    pub fn matmul_batched_with<'a>(
-        count: usize,
-        a_of: impl Fn(usize) -> &'a Matrix,
-        other: &Matrix,
-        outs: &mut [Matrix],
-    ) -> Result<(), TensorError> {
-        assert_eq!(outs.len(), count, "matmul_batched: outs length mismatch");
-        if count == 0 {
-            return Ok(());
-        }
-        let (m, k) = a_of(0).shape();
-        let n = other.cols();
-        for (i, out) in outs.iter().enumerate() {
-            let ai = a_of(i);
-            if ai.shape() != (m, k) || ai.cols() != other.rows() {
-                return Err(ShapeError::new("matmul_batched", ai.shape(), other.shape()).into());
-            }
-            assert_eq!(out.shape(), (m, n), "matmul_batched: output shape mismatch");
-        }
-        if count >= 2 && gemm::use_tiled(m, k, n) {
-            // The per-cloud loop's matmul_into calls credit dispatch
-            // themselves; the fused path credits the same total here.
-            kernels::count_dispatch(count * m);
-            colper_obs::counters::GEMM_BATCH_FUSED.incr();
-            gemm::gemm_batched(count, |i| a_of(i).as_slice(), other.as_slice(), m, k, n, outs);
+            gemm::tiled_into(self, other, out);
         } else {
-            colper_obs::counters::GEMM_BATCH_LOOPED.incr();
-            for (i, out) in outs.iter_mut().enumerate() {
-                a_of(i).matmul_into(other, out)?;
-            }
+            gemm::row_into(self, other, out);
         }
         Ok(())
     }
@@ -437,7 +331,6 @@ impl Matrix {
             out.as_mut_slice().fill(0.0);
             return Ok(());
         }
-        kernels::count_dispatch(m);
         // Pack self^T into a pooled panel so the inner kernel reads
         // contiguous rows instead of stride-m columns. Packing happens on
         // the calling thread before the row split, so the panel contents —
@@ -445,14 +338,9 @@ impl Matrix {
         let mut packed = gemm::pack_scratch(m, k);
         self.transpose_into(&mut packed);
         if gemm::use_tiled(m, k, n) {
-            gemm::gemm_into(packed.as_slice(), other.as_slice(), m, k, n, out.as_mut_slice());
+            gemm::tiled_into(&packed, other, out);
         } else {
-            out.as_mut_slice().fill(0.0);
-            let b = other.as_slice();
-            let packed_ref = &packed;
-            for_each_out_row(out, m * k * n, |i, out_row| {
-                kernels::matmul_row(packed_ref.row(i), b, n, out_row);
-            });
+            gemm::row_into(&packed, other, out);
         }
         gemm::pack_recycle(packed);
         Ok(())

@@ -10,7 +10,7 @@
 //! cannot hide.
 
 use colper_tensor::kernels::{self, scalar};
-use colper_tensor::{gemm_mode, set_gemm_mode, GemmMode, Matrix};
+use colper_tensor::{gemm, Matrix};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
 
@@ -62,16 +62,18 @@ fn arb_vec(max_len: usize) -> impl Strategy<Value = Vec<f32>> {
     (0..=max_len).prop_flat_map(|n| proptest::collection::vec(-100.0f32..100.0, n))
 }
 
-/// Runs `f` under every (SIMD leg, GEMM kernel) combination the host
-/// supports — scalar / AVX2 / AVX-512, each with the row kernel forced and
-/// with the tiled kernel forced — and returns the labelled bit dumps. The
-/// first entry is always the scalar row-kernel reference; callers assert
-/// every other leg matches it bit for bit.
-fn on_all_gemm_legs(f: impl Fn() -> Vec<u32>) -> Vec<(String, Vec<u32>)> {
+/// A matmul driver, called by name instead of routed by shape.
+type Driver = fn(&Matrix, &Matrix, &mut Matrix);
+
+/// Runs `f` under every (SIMD leg, GEMM driver) combination the host
+/// supports — scalar / AVX2 / AVX-512, each handed [`gemm::row_into`] and
+/// [`gemm::tiled_into`] — and returns the labelled bit dumps. The first
+/// entry is always the scalar row-driver reference; callers assert every
+/// other leg matches it bit for bit.
+fn on_all_gemm_legs(f: impl Fn(Driver) -> Vec<u32>) -> Vec<(String, Vec<u32>)> {
     let _guard = lock();
     let was_simd = kernels::simd_active();
     let was_512 = kernels::avx512_active();
-    let was_mode = gemm_mode();
     let mut runs = Vec::new();
     for (simd, avx512) in [(false, false), (true, false), (true, true)] {
         if simd && !kernels::simd_supported() {
@@ -82,15 +84,24 @@ fn on_all_gemm_legs(f: impl Fn() -> Vec<u32>) -> Vec<(String, Vec<u32>)> {
         }
         kernels::set_simd_enabled(simd);
         kernels::set_avx512_enabled(avx512);
-        for mode in [GemmMode::Row, GemmMode::Tiled] {
-            set_gemm_mode(mode);
-            runs.push((format!("simd={simd} avx512={avx512} mode={mode:?}"), f()));
+        let drivers: [(&str, Driver); 2] = [("row", gemm::row_into), ("tiled", gemm::tiled_into)];
+        for (name, driver) in drivers {
+            runs.push((format!("simd={simd} avx512={avx512} driver={name}"), f(driver)));
         }
     }
     kernels::set_simd_enabled(was_simd);
     kernels::set_avx512_enabled(was_512);
-    set_gemm_mode(was_mode);
     runs
+}
+
+/// `a * b` through `driver` over a dirty output (so a missed element
+/// shows), followed by the shape-routed `at^T * b`.
+fn gemm_bits(driver: Driver, a: &Matrix, at: &Matrix, b: &Matrix) -> Vec<u32> {
+    let mut out = Matrix::from_fn(a.rows(), b.cols(), |_, _| f32::NAN);
+    driver(a, b, &mut out);
+    let mut dump = bits(out.as_slice());
+    dump.extend(bits(at.matmul_tn(b).unwrap().as_slice()));
+    dump
 }
 
 proptest! {
@@ -288,8 +299,8 @@ proptest! {
     /// The tiled GEMM — on every ISA leg — must reproduce the scalar row
     /// kernel bit for bit on ragged shapes: dimensions that are not
     /// multiples of the 6x16 / 12x32 micro-tiles, zero-dimension operands,
-    /// and single-row matrices. `matmul_tn` shares the packed-transpose
-    /// path, so it rides along.
+    /// and single-row matrices. `matmul_tn` packs its transpose and then
+    /// routes by shape, so it rides along.
     #[test]
     fn tiled_gemm_bit_identical_to_row_kernel_on_ragged_shapes(
         m in 0usize..40,
@@ -300,51 +311,9 @@ proptest! {
         let a = Matrix::from_fn(m, k, |r, c| ((r * 7 + c) as f32 * 0.43 + seed).sin());
         let b = Matrix::from_fn(k, n, |r, c| ((r * 5 + c) as f32 * 0.29 - seed).cos());
         let at = a.transpose();
-        let runs = on_all_gemm_legs(|| {
-            let mut out = Vec::new();
-            out.extend(bits(a.matmul(&b).unwrap().as_slice()));
-            out.extend(bits(at.matmul_tn(&b).unwrap().as_slice()));
-            out
-        });
+        let runs = on_all_gemm_legs(|driver| gemm_bits(driver, &a, &at, &b));
         let (ref_label, reference) = &runs[0];
         prop_assert!(ref_label.contains("simd=false"));
-        for (label, run) in &runs[1..] {
-            prop_assert_eq!(run, reference, "leg {} diverged from {}", label, ref_label);
-        }
-    }
-
-    /// Batched GEMM over a shape bucket must be bit-identical to the
-    /// per-cloud matmul loop on every leg — including counts of 0 and 1
-    /// (which take the looped path) and ragged per-cloud shapes.
-    #[test]
-    fn batched_gemm_matches_per_cloud_loop(
-        count in 0usize..5,
-        m in 0usize..24,
-        k in 0usize..24,
-        n in 0usize..24,
-        seed in -2.0f32..2.0,
-    ) {
-        let clouds: Vec<Matrix> = (0..count)
-            .map(|i| Matrix::from_fn(m, k, |r, c| ((r * 11 + c * 3 + i) as f32 * 0.31 + seed).sin()))
-            .collect();
-        let b = Matrix::from_fn(k, n, |r, c| ((r * 5 + c) as f32 * 0.29 - seed).cos());
-        let runs = on_all_gemm_legs(|| {
-            let refs: Vec<&Matrix> = clouds.iter().collect();
-            let mut outs = vec![Matrix::zeros(m, n); count];
-            Matrix::matmul_batched_into(&refs, &b, &mut outs).unwrap();
-            let mut out = Vec::new();
-            for (cloud, batched) in clouds.iter().zip(&outs) {
-                let looped = cloud.matmul(&b).unwrap();
-                assert_eq!(
-                    bits(batched.as_slice()),
-                    bits(looped.as_slice()),
-                    "batched result diverged from the per-cloud loop"
-                );
-                out.extend(bits(batched.as_slice()));
-            }
-            out
-        });
-        let (ref_label, reference) = &runs[0];
         for (label, run) in &runs[1..] {
             prop_assert_eq!(run, reference, "leg {} diverged from {}", label, ref_label);
         }
@@ -362,12 +331,7 @@ fn tiled_gemm_crosses_band_and_panel_boundaries() {
     let a = Matrix::from_fn(m, k, |r, c| ((r * 13 + c) as f32 * 0.017).sin());
     let b = Matrix::from_fn(k, n, |r, c| ((r * 3 + c) as f32 * 0.023).cos());
     let at = a.transpose();
-    let runs = on_all_gemm_legs(|| {
-        let mut out = Vec::new();
-        out.extend(bits(a.matmul(&b).unwrap().as_slice()));
-        out.extend(bits(at.matmul_tn(&b).unwrap().as_slice()));
-        out
-    });
+    let runs = on_all_gemm_legs(|driver| gemm_bits(driver, &a, &at, &b));
     let (ref_label, reference) = &runs[0];
     for (label, run) in &runs[1..] {
         assert_eq!(run, reference, "leg {label} diverged from {ref_label}");

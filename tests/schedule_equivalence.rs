@@ -7,7 +7,6 @@
 //! the next key-matching job.
 
 use colper_repro::attack::{AttackConfig, AttackPlan, AttackResult, AttackSession, WarmSeat};
-use colper_repro::autodiff::set_schedule_enabled;
 use colper_repro::models::{
     CloudTensors, PointNet2, PointNet2Config, RandLaNet, RandLaNetConfig, ResGcn, ResGcnConfig,
     SegmentationModel,
@@ -24,10 +23,7 @@ fn tensors(points: usize, seed: u64) -> CloudTensors {
     CloudTensors::from_cloud(&normalize::pointnet_view(&cloud))
 }
 
-/// One attack under an explicit schedule-gate setting, restoring the
-/// previous setting afterwards. Toggling mid-suite is safe precisely
-/// because of the invariant under test: results are bit-identical with
-/// the gate on or off.
+/// One attack with schedules explicitly on or off for its session.
 fn run_gated<M: SegmentationModel>(
     model: &M,
     cloud: &CloudTensors,
@@ -35,10 +31,9 @@ fn run_gated<M: SegmentationModel>(
     rt: &Runtime,
     scheduled: bool,
 ) -> (AttackResult, StdRng) {
-    set_schedule_enabled(scheduled);
     let mut rng = StdRng::seed_from_u64(17);
-    let result = AttackSession::new(cfg.clone()).runtime(rt).run_with_rng(model, cloud, &mut rng);
-    set_schedule_enabled(true);
+    let session = AttackSession::new(cfg.clone()).runtime(rt).schedule(scheduled);
+    let result = session.run_with_rng(model, cloud, &mut rng);
     (result, rng)
 }
 
@@ -86,7 +81,7 @@ fn resgcn_scheduled_replay_is_bit_identical() {
 fn randlanet_is_never_scheduled_and_unaffected_by_the_gate() {
     // RandLA-Net's random downsampling draws from the RNG every forward
     // pass, so it reports `deterministic_eval() == false` and the attack
-    // must never capture a schedule for it — the gate setting is inert.
+    // must never capture a schedule for it — the session setting is inert.
     let mut rng = StdRng::seed_from_u64(2);
     let model = RandLaNet::new(RandLaNetConfig::tiny(13), &mut rng);
     assert!(!model.deterministic_eval());
@@ -95,7 +90,6 @@ fn randlanet_is_never_scheduled_and_unaffected_by_the_gate() {
 
 #[test]
 fn seat_pool_round_trip_keeps_the_schedule_warm() {
-    set_schedule_enabled(true);
     let mut rng = StdRng::seed_from_u64(4);
     let model = PointNet2::new(PointNet2Config::tiny(13), &mut rng);
     let cloud = tensors(96, 5);
@@ -104,7 +98,7 @@ fn seat_pool_round_trip_keeps_the_schedule_warm() {
     // adoption across runs requires sharing one plan — exactly how the
     // attack service holds a plan per victim cloud.
     let plan = AttackPlan::build(&model, &cloud, &cfg);
-    let session = AttackSession::new(cfg.clone()).plan(&plan);
+    let session = AttackSession::new(cfg.clone()).plan(&plan).schedule(true);
 
     let mut rng_fresh = StdRng::seed_from_u64(23);
     let reference = session.run_with_rng(&model, &cloud, &mut rng_fresh);
@@ -127,7 +121,6 @@ fn seat_pool_round_trip_keeps_the_schedule_warm() {
 
 #[test]
 fn plan_change_invalidates_the_captured_schedule() {
-    set_schedule_enabled(true);
     let mut rng = StdRng::seed_from_u64(6);
     let model = PointNet2::new(PointNet2Config::tiny(13), &mut rng);
     let cloud = tensors(96, 7);
@@ -140,7 +133,7 @@ fn plan_change_invalidates_the_captured_schedule() {
     let plan_a = AttackPlan::build(&model, &cloud, &cfg);
     let plan_b = AttackPlan::build(&model, &cloud, &cfg);
     let mut seat = WarmSeat::new();
-    let _ = AttackSession::new(cfg.clone()).plan(&plan_a).run_with_rng_seated(
+    let _ = AttackSession::new(cfg.clone()).plan(&plan_a).schedule(true).run_with_rng_seated(
         &model,
         &cloud,
         &mut StdRng::seed_from_u64(31),
@@ -149,15 +142,10 @@ fn plan_change_invalidates_the_captured_schedule() {
     assert!(seat.is_scheduled(), "the first planned run must donate its schedule");
 
     let mut rng_fresh = StdRng::seed_from_u64(31);
-    let reference =
-        AttackSession::new(cfg.clone()).plan(&plan_b).run_with_rng(&model, &cloud, &mut rng_fresh);
+    let session_b = AttackSession::new(cfg).plan(&plan_b).schedule(true);
+    let reference = session_b.run_with_rng(&model, &cloud, &mut rng_fresh);
     let mut rng_seated = StdRng::seed_from_u64(31);
-    let seated = AttackSession::new(cfg).plan(&plan_b).run_with_rng_seated(
-        &model,
-        &cloud,
-        &mut rng_seated,
-        &mut seat,
-    );
+    let seated = session_b.run_with_rng_seated(&model, &cloud, &mut rng_seated, &mut seat);
     assert_eq!(seated, reference, "a stale schedule leaked across a plan change");
     assert_eq!(rng_seated, rng_fresh);
     // The run under plan B captured its own schedule and donated it.
@@ -166,7 +154,6 @@ fn plan_change_invalidates_the_captured_schedule() {
 
 #[test]
 fn eot_runs_never_capture_a_schedule() {
-    set_schedule_enabled(true);
     let mut rng = StdRng::seed_from_u64(8);
     let model = PointNet2::new(PointNet2Config::tiny(13), &mut rng);
     let cloud = tensors(64, 9);
@@ -174,7 +161,7 @@ fn eot_runs_never_capture_a_schedule() {
     cfg.gradient_samples = 2;
 
     let mut seat = WarmSeat::new();
-    let _ = AttackSession::new(cfg).run_with_rng_seated(
+    let _ = AttackSession::new(cfg).schedule(true).run_with_rng_seated(
         &model,
         &cloud,
         &mut StdRng::seed_from_u64(1),
