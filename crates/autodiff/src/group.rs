@@ -1,5 +1,7 @@
 //! Row-major kernels for grouped max and softmax over consecutive groups
-//! of `k` rows of a `[G*k, C]` row-major slice.
+//! of `k` rows of a `[G*k, C]` row-major slice. The max-pool's per-group
+//! loop is the dispatched [`kernels::group_max`] (scalar reference plus
+//! AVX2 twin); the softmax loops live here.
 //!
 //! The recording constructors (`ops_struct.rs`), the schedule replay
 //! (`schedule.rs`) and `step_backward` all call these, so each op has one
@@ -13,29 +15,24 @@
 //! live in fixed stack blocks of [`BLOCK`] columns, so no call allocates.
 //! A zero-column input is a no-op.
 
+use colper_tensor::kernels;
+
 /// Columns per stack block of per-column running values.
 const BLOCK: usize = 64;
 
 /// Max-pool: `out[g][c] = max_j x[g*k + j][c]`, with `argmax[g*C + c]`
-/// the first row reaching it (`g*k` when no row beats `-inf`).
+/// the first row reaching it (`g*k` when no row beats `-inf`). Each
+/// group runs through the dispatched [`kernels::group_max`].
 pub(crate) fn max_forward(x: &[f32], cols: usize, k: usize, out: &mut [f32], argmax: &mut [usize]) {
     if cols == 0 {
         return;
     }
+    kernels::count_dispatch(out.len() / cols);
+    let span = k * cols;
     for (g, (best, arg)) in
         out.chunks_exact_mut(cols).zip(argmax.chunks_exact_mut(cols)).enumerate()
     {
-        best.fill(f32::NEG_INFINITY);
-        arg.fill(g * k);
-        for r in g * k..(g + 1) * k {
-            let row = &x[r * cols..(r + 1) * cols];
-            for ((b, a), &v) in best.iter_mut().zip(arg.iter_mut()).zip(row) {
-                if v > *b {
-                    *b = v;
-                    *a = r;
-                }
-            }
-        }
+        kernels::group_max(&x[g * span..(g + 1) * span], k, g * k, best, arg);
     }
 }
 

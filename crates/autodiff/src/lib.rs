@@ -11,8 +11,9 @@
 //! is a network weight (training) or the adversarial color variable `w`
 //! (attacking).
 //!
-//! The op set is tailored to point-cloud segmentation networks: dense
-//! matmul and batch-norm for the shared MLPs, gather / grouped max-pool /
+//! The op set is tailored to point-cloud segmentation networks: the fused
+//! `dense` op (matmul, eval-mode batch-norm fold and activation in one
+//! pass) and training batch-norm for the shared MLPs, gather / grouped max-pool /
 //! grouped softmax for neighborhood aggregation (PointNet++ set
 //! abstraction, DeepGCN edge convolution, RandLA-Net attentive pooling),
 //! interpolation for feature propagation, and fused losses (softmax
@@ -46,6 +47,7 @@ mod ops_struct;
 mod schedule;
 mod tape;
 
+pub use colper_tensor::kernels::Act;
 pub use grad_check::{check_gradient, GradCheckReport};
 pub use schedule::{schedule_enabled, CompileSpec, HingeSpec, ScheduleError, TapeSchedule};
 pub use tape::{Tape, Var};

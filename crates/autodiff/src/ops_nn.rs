@@ -1,11 +1,61 @@
 //! Fused neural-network operations: batch normalization, training loss,
 //! and the paper's attack objectives (Eq. 6, 7, 8).
 
-use crate::tape::{Ix, Op, Tape, Value, Var};
-use colper_tensor::{kernels, Matrix};
+use crate::tape::{Ix, Node, Op, Tape, Value, Var};
+use colper_tensor::gemm::Epilogue;
+use colper_tensor::kernels::{self, Act};
+use colper_tensor::Matrix;
 use std::sync::Arc;
 
 impl Tape {
+    /// One dense layer as a single op: `act((x · w) ⊙ scale + shift)`,
+    /// where `x` is `[N,K]`, `w` is `[K,C]` and the optional `scale` and
+    /// `shift` are `[1,C]` rows broadcast over `N`.
+    ///
+    /// The result is bit-identical to the unfused chain `matmul →
+    /// mul_row(scale) → add_row(shift) → act`: each output row gets the
+    /// chain's multiply, add and activation, in that order, as soon as
+    /// the product row is final. The backward pass reads `act'` from the
+    /// output and never builds an `[N,C]` intermediate when only `x`
+    /// wants a gradient. `scale` is a constant (an eval-mode batch-norm
+    /// fold); gradients flow to `x`, `w` and `shift`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the shapes disagree, when `scale` requires a gradient,
+    /// or on a leaky ReLU slope that is not positive (the derivative is
+    /// read from the output, which needs `y > 0` exactly when the
+    /// pre-activation is).
+    pub fn dense(
+        &mut self,
+        x: Var,
+        w: Var,
+        scale: Option<Var>,
+        shift: Option<Var>,
+        act: Act,
+    ) -> Var {
+        let (m, k) = self.value(x).shape();
+        let (wk, n) = self.value(w).shape();
+        assert_eq!(k, wk, "dense: {k} input columns vs a {wk}-row weight");
+        for (name, row) in [("scale", scale), ("shift", shift)] {
+            if let Some(r) = row {
+                assert_eq!(self.value(r).shape(), (1, n), "dense: {name} must be [1, {n}]");
+            }
+        }
+        assert!(
+            scale.is_none_or(|s| !self.node(s).requires_grad),
+            "dense: scale must not require a gradient"
+        );
+        if let Act::LeakyRelu(alpha) = act {
+            assert!(alpha > 0.0, "dense: leaky ReLU slope must be positive, got {alpha}");
+        }
+        let mut out = self.alloc(m, n);
+        dense_forward(&self.nodes, (x, w, scale, shift, act), &mut out);
+        let rg =
+            self.any_requires_grad(&[x, w]) || shift.is_some_and(|t| self.node(t).requires_grad);
+        self.push(out, Op::Dense { x, w, scale, shift, act }, rg)
+    }
+
     /// Batch normalization in training mode over the row (batch) axis.
     ///
     /// `x` is `[N,C]`, `gamma` and `beta` are `[1,C]`. Returns the
@@ -195,13 +245,13 @@ impl Tape {
         neighbors: &[usize],
         k: usize,
     ) -> Var {
-        let total = self.smoothness_value(colors, coords, neighbors, k);
+        let (total, dist) = self.smoothness_value(colors, coords, neighbors, k);
         let coords = Value::Owned(self.alloc_copy(coords));
         let neighbors = Ix::Owned(self.pooled_idx_copy(neighbors));
         let rg = self.node(colors).requires_grad;
         let mut lv = self.alloc(1, 1);
         lv[(0, 0)] = total;
-        self.push(lv, Op::Smoothness { colors, coords, neighbors, k }, rg)
+        self.push(lv, Op::Smoothness { colors, coords, neighbors, k, dist }, rg)
     }
 
     /// [`Tape::smoothness`] with interned (`Arc`-shared) coordinates and
@@ -218,7 +268,7 @@ impl Tape {
         neighbors: Arc<[usize]>,
         k: usize,
     ) -> Var {
-        let total = self.smoothness_value(colors, &coords, &neighbors, k);
+        let (total, dist) = self.smoothness_value(colors, &coords, &neighbors, k);
         let rg = self.node(colors).requires_grad;
         let mut lv = self.alloc(1, 1);
         lv[(0, 0)] = total;
@@ -229,37 +279,79 @@ impl Tape {
                 coords: Value::Shared(coords),
                 neighbors: Ix::Shared(neighbors),
                 k,
+                dist,
             },
             rg,
         )
     }
 
-    fn smoothness_value(&self, colors: Var, coords: &Matrix, neighbors: &[usize], k: usize) -> f32 {
+    /// Validates a smoothness op's inputs and evaluates it, returning the
+    /// penalty and the pooled per-edge distances its backward reads.
+    fn smoothness_value(
+        &mut self,
+        colors: Var,
+        coords: &Matrix,
+        neighbors: &[usize],
+        k: usize,
+    ) -> (f32, Matrix) {
         assert!(k > 0, "smoothness: k must be positive");
-        let cv = self.value(colors);
-        let n = cv.rows();
+        let n = self.value(colors).rows();
         assert_eq!(coords.rows(), n, "smoothness: coords/colors row mismatch");
         assert_eq!(neighbors.len(), n * k, "smoothness: neighbor list must be N*k");
         assert!(neighbors.iter().all(|&i| i < n), "smoothness: neighbor index out of bounds");
-
-        let mut total = 0.0f32;
-        for i in 0..n {
-            for j in 0..k {
-                let nb = neighbors[i * k + j];
-                let mut d2 = 0.0f32;
-                for d in 0..coords.cols() {
-                    let dd = coords[(i, d)] - coords[(nb, d)];
-                    d2 += dd * dd;
-                }
-                for d in 0..cv.cols() {
-                    let dd = cv[(i, d)] - cv[(nb, d)];
-                    d2 += dd * dd;
-                }
-                total += d2.sqrt();
-            }
-        }
-        total
+        let mut dist = self.alloc(n * k, 1);
+        let total = smoothness_forward(self.value(colors), coords, neighbors, k, &mut dist);
+        (total, dist)
     }
+}
+
+/// The forward body of [`Tape::smoothness`], shared by the recording
+/// constructors and the schedule replay. Writes each edge's distance
+/// `||x'_i - x'_nb||_2` into `dist` (`[N*k, 1]`, edge order) so the
+/// backward divides by it instead of recomputing it, and returns their
+/// sum in edge order.
+pub(crate) fn smoothness_forward(
+    colors: &Matrix,
+    coords: &Matrix,
+    neighbors: &[usize],
+    k: usize,
+    dist: &mut Matrix,
+) -> f32 {
+    let (cd, pd) = (coords.cols(), colors.cols());
+    let (xyz, rgb) = (coords.as_slice(), colors.as_slice());
+    let dist = dist.as_mut_slice();
+    let mut total = 0.0f32;
+    for (e, &nb) in neighbors.iter().enumerate() {
+        let i = e / k;
+        let mut d2 = 0.0f32;
+        for (a, b) in xyz[i * cd..][..cd].iter().zip(&xyz[nb * cd..][..cd]) {
+            let dd = a - b;
+            d2 += dd * dd;
+        }
+        for (a, b) in rgb[i * pd..][..pd].iter().zip(&rgb[nb * pd..][..pd]) {
+            let dd = a - b;
+            d2 += dd * dd;
+        }
+        dist[e] = d2.sqrt();
+        total += dist[e];
+    }
+    total
+}
+
+/// The forward body of [`Tape::dense`], shared by the recording
+/// constructor and the schedule replay: one product through the
+/// shape-routed GEMM with the scale/shift/activation epilogue fused on.
+pub(crate) fn dense_forward(
+    nodes: &[Node],
+    (x, w, scale, shift, act): (Var, Var, Option<Var>, Option<Var>, Act),
+    out: &mut Matrix,
+) {
+    let row = |v: Option<Var>| v.map(|v| nodes[v.0].value.row(0));
+    let epi = Epilogue { scale: row(scale), shift: row(shift), act };
+    nodes[x.0]
+        .value
+        .matmul_epilogue_into(&nodes[w.0].value, &epi, out)
+        .expect("dense: inner dimension mismatch");
 }
 
 #[cfg(test)]
@@ -407,6 +499,47 @@ mod tests {
 
         assert_eq!(t1.value(s1), t2.value(s2));
         assert_eq!(t1.grad(c1), t2.grad(c2));
+    }
+
+    /// The saved per-edge distances change no bit: value and gradient
+    /// equal a reference that recomputes each edge's distance in the
+    /// backward, as the op did before it saved them.
+    #[test]
+    fn smoothness_matches_recomputed_distance_reference() {
+        let (n, k) = (37, 5);
+        let coords = Matrix::from_fn(n, 3, |r, c| ((r * 3 + c) as f32 * 0.37).sin());
+        let colors = Matrix::from_fn(n, 3, |r, c| ((r * 7 + c) as f32 * 0.11).cos());
+        let neighbors: Vec<usize> = (0..n * k).map(|e| (e * 13 + 1) % n).collect();
+        let mut t = Tape::new();
+        let c = t.leaf(colors.clone());
+        let s = t.smoothness(c, &coords, &neighbors, k);
+        t.backward(s);
+
+        let (mut total, mut grad) = (0.0f32, Matrix::zeros(n, 3));
+        for i in 0..n {
+            for j in 0..k {
+                let nb = neighbors[i * k + j];
+                let mut d2 = 0.0f32;
+                for d in 0..3 {
+                    let dd = coords[(i, d)] - coords[(nb, d)];
+                    d2 += dd * dd;
+                }
+                for d in 0..3 {
+                    let dd = colors[(i, d)] - colors[(nb, d)];
+                    d2 += dd * dd;
+                }
+                total += d2.sqrt();
+                let dist = d2.sqrt().max(1e-8);
+                for d in 0..3 {
+                    let dd = (colors[(i, d)] - colors[(nb, d)]) / dist;
+                    grad[(i, d)] += dd;
+                    grad[(nb, d)] -= dd;
+                }
+            }
+        }
+        assert_eq!(t.value(s)[(0, 0)].to_bits(), total.to_bits());
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(t.grad(c).unwrap()), bits(&grad));
     }
 
     #[test]

@@ -13,24 +13,22 @@
 //! - **Dynamic nodes** — recomputed on every [`TapeSchedule::replay`], in
 //!   recorded order, writing into the same liveness-colored arena slots
 //!   (each node's pooled value buffer, assigned once at capture). Peephole
-//!   fusion collapses `matmul → add_row (→ activation)` chains and
-//!   `gather_rows → sub` pairs into single steps and recycles the
-//!   intermediate buffers; `weighted_gather` is the already-fused
-//!   gather + weighted-sum op.
+//!   fusion collapses `gather_rows → sub` pairs into single steps and
+//!   recycles the gathered buffer. Dense layers need no peephole: they
+//!   are recorded as one fused `dense` op (`Linear → BatchNorm →
+//!   activation`), and `weighted_gather` is the already-fused gather +
+//!   weighted-sum op.
 //!
 //! The backward candidate list (reachability mark pass over `requires_grad
 //! && live`) is also frozen at compile time, so replay skips graph
 //! construction, the per-step reset walk, the mark pass, and every
-//! dispatch decision. Replay reuses the tape's own `step_backward` in
-//! compiled mode, which additionally prunes operand gradients flowing
-//! into eval-mode constants (the dynamic reference computes then
-//! discards them) and hands out dirty scratch to kernels that fully
-//! overwrite their output. Neither can change a live value: replayed
-//! values and gradients stay bit-identical to a dynamic rebuild on both
-//! SIMD legs and at any thread count — and touch no allocator in steady
-//! state.
+//! dispatch decision. Replay reuses the tape's own `step_backward`, the
+//! same one the dynamic tape runs, so replayed values and gradients stay
+//! bit-identical to a dynamic rebuild on both SIMD legs and at any thread
+//! count — and touch no allocator in steady state.
 
 use crate::group;
+use crate::ops_nn::{dense_forward, smoothness_forward};
 use crate::tape::{step_backward, Node, Op, Tape, Value, Var};
 use colper_tensor::{kernels, Matrix};
 use std::fmt;
@@ -148,16 +146,11 @@ pub struct CompileSpec<'a> {
     pub hinge: Option<HingeSpec>,
 }
 
-/// One forward replay step: a dynamic node, or a peephole-fused group.
+/// One forward replay step: a dynamic node, or a peephole-fused pair.
 #[derive(Debug, Clone, Copy)]
 enum Step {
     /// Recompute node `i` with the standard op arm.
     Node(u32),
-    /// `matmul → add_row (→ activation)`: the matmul writes straight into
-    /// the bias node's slot (its own buffer was recycled at compile), the
-    /// bias row is added in place, and the optional activation fills its
-    /// own slot.
-    FusedLinear { mm: u32, add: u32, act: Option<u32> },
     /// `gather_rows → sub`: the subtraction reads gathered rows straight
     /// from the source (the gather's buffer was recycled at compile).
     FusedGatherSub { gather: u32, sub: u32 },
@@ -310,10 +303,9 @@ impl TapeSchedule {
         }
 
         // Peephole fusion over the recorded order. Soundness of stealing a
-        // node's buffer: the Matmul and GatherRows backward arms read only
-        // their *operand* values (and the gather's index payload), never
-        // their own output, and their sole consumers (AddRow / Sub)
-        // propagate gradients without reading any forward value.
+        // node's buffer: the GatherRows backward arm reads only its index
+        // payload, never its own output, and its sole consumer (Sub)
+        // propagates gradients without reading any forward value.
         let mut sole: Vec<Option<usize>> = vec![None; n];
         for i in 0..n {
             if !dynamic[i] || i == input {
@@ -326,17 +318,13 @@ impl TapeSchedule {
             });
         }
 
-        // Each fused group is anchored at its *second* op (the AddRow /
-        // Sub), not its first: other operands of that op may be recorded
-        // between the pair — ResGcn gathers x_j, then x_i, then subtracts
-        // — and running the group at the first op's slot would read them
-        // one replay stale. The first op (and any trailing activation)
-        // is marked `fused` so the scan skips it; the group is emitted
-        // when the scan reaches the anchor, where every operand of every
-        // member is already recomputed. The activation runs one slot
-        // early (at the anchor instead of its own position), which is
-        // safe: its sole operand is the anchor and its consumers all
-        // come later.
+        // Each fused pair is anchored at its *second* op (the Sub), not
+        // its first: the Sub's other operand may be recorded between the
+        // pair — ResGcn gathers x_j, then x_i, then subtracts — and
+        // running the pair at the gather's slot would read it one replay
+        // stale. The gather is marked `fused` so the scan skips it; the
+        // pair is emitted when the scan reaches the anchor, where every
+        // operand of both members is already recomputed.
         let mut steps = Vec::new();
         let mut fused = vec![false; n];
         let mut pending: Vec<Option<Step>> = vec![None; n];
@@ -350,50 +338,16 @@ impl TapeSchedule {
                 steps.push(step);
                 continue;
             }
-            match &tape.nodes[i].op {
-                Op::Matmul(..) if !keep[i] => {
-                    if let Some(j) = sole[i] {
-                        if let Op::AddRow(x, r) = tape.nodes[j].op {
-                            if x.0 == i && r.0 != i {
-                                let act = sole[j].filter(|&k2| {
-                                    matches!(
-                                        tape.nodes[k2].op,
-                                        Op::Relu(v) | Op::LeakyRelu(v, _)
-                                            | Op::Tanh(v) | Op::Sigmoid(v)
-                                        if v.0 == j
-                                    )
-                                });
-                                fused[i] = true;
-                                if let Some(k2) = act {
-                                    fused[k2] = true;
-                                }
-                                stolen.push(i);
-                                fused_groups += 1;
-                                pending[j] = Some(Step::FusedLinear {
-                                    mm: i as u32,
-                                    add: j as u32,
-                                    act: act.map(|k2| k2 as u32),
-                                });
-                                continue;
-                            }
-                        }
+            if let (Op::GatherRows(..), false, Some(j)) = (&tape.nodes[i].op, keep[i], sole[i]) {
+                if let Op::Sub(a, b) = tape.nodes[j].op {
+                    if a.0 == i && b.0 != i {
+                        fused[i] = true;
+                        stolen.push(i);
+                        fused_groups += 1;
+                        pending[j] = Some(Step::FusedGatherSub { gather: i as u32, sub: j as u32 });
+                        continue;
                     }
                 }
-                Op::GatherRows(..) if !keep[i] => {
-                    if let Some(j) = sole[i] {
-                        if let Op::Sub(a, b) = tape.nodes[j].op {
-                            if a.0 == i && b.0 != i {
-                                fused[i] = true;
-                                stolen.push(i);
-                                fused_groups += 1;
-                                pending[j] =
-                                    Some(Step::FusedGatherSub { gather: i as u32, sub: j as u32 });
-                                continue;
-                            }
-                        }
-                    }
-                }
-                _ => {}
             }
             steps.push(Step::Node(i as u32));
         }
@@ -465,12 +419,6 @@ impl TapeSchedule {
         for step in &self.steps {
             match *step {
                 Step::Node(i) => exec_node(&mut tape.nodes, i as usize, self.hinge.as_ref()),
-                Step::FusedLinear { mm, add, act } => {
-                    exec_fused_linear(&mut tape.nodes, mm as usize, add as usize);
-                    if let Some(act) = act {
-                        exec_node(&mut tape.nodes, act as usize, None);
-                    }
-                }
                 Step::FusedGatherSub { gather, sub } => {
                     exec_fused_gather_sub(&mut tape.nodes, gather as usize, sub as usize);
                 }
@@ -481,11 +429,7 @@ impl TapeSchedule {
 
     /// The frozen twin of `Tape::backward`: identical seed, traversal and
     /// accumulation (it calls the same `step_backward`), minus the mark
-    /// pass — the candidate list was cached at compile time — and with
-    /// dead-gradient pruning on: gradients flowing into eval-mode
-    /// constants (frozen weights) are skipped instead of computed and
-    /// discarded. Pruning cannot change any live gradient, so replayed
-    /// gradients stay bit-identical to the dynamic rebuild.
+    /// pass — the candidate list was cached at compile time.
     fn replay_backward(&self, tape: &mut Tape) {
         let _span = colper_obs::span!(TAPE_BACKWARD);
         let n = tape.nodes.len();
@@ -509,17 +453,17 @@ impl TapeSchedule {
             let i = i as usize;
             let Some(gy) = tape.grads[i].take() else { continue };
             tape.visited += 1;
-            step_backward(&tape.nodes, &mut tape.grads, &mut tape.pool, i, &gy, true);
+            step_backward(&tape.nodes, &mut tape.grads, &mut tape.pool, i, &gy);
             tape.grads[i] = Some(gy);
         }
     }
 
-    /// Forward replay steps (fused groups count as one).
+    /// Forward replay steps (fused pairs count as one).
     pub fn num_steps(&self) -> usize {
         self.steps.len()
     }
 
-    /// Peephole groups fused at compile time.
+    /// Peephole pairs fused at compile time.
     pub fn fused_groups(&self) -> u64 {
         self.fused_groups
     }
@@ -576,6 +520,9 @@ fn exec_node(nodes: &mut [Node], i: usize, hinge: Option<&HingeSpec>) {
                 .value
                 .matmul_into(&head[b.0].value, value.owned_mut())
                 .expect("replay matmul");
+        }
+        Op::Dense { x, w, scale, shift, act } => {
+            dense_forward(head, (*x, *w, *scale, *shift, *act), value.owned_mut());
         }
         Op::Relu(x) => head[x.0].value.map_into(value.owned_mut(), |t| t.max(0.0)),
         Op::LeakyRelu(x, alpha) => {
@@ -719,26 +666,8 @@ fn exec_node(nodes: &mut [Node], i: usize, hinge: Option<&HingeSpec>) {
             }
             value.owned_mut()[(0, 0)] = loss;
         }
-        Op::Smoothness { colors, coords, neighbors, k } => {
-            let (colors, k) = (*colors, *k);
-            let cv: &Matrix = &head[colors.0].value;
-            let coords: &Matrix = coords;
-            let mut total = 0.0f32;
-            for i2 in 0..cv.rows() {
-                for j in 0..k {
-                    let nb = neighbors[i2 * k + j];
-                    let mut d2 = 0.0f32;
-                    for d in 0..coords.cols() {
-                        let dd = coords[(i2, d)] - coords[(nb, d)];
-                        d2 += dd * dd;
-                    }
-                    for d in 0..cv.cols() {
-                        let dd = cv[(i2, d)] - cv[(nb, d)];
-                        d2 += dd * dd;
-                    }
-                    total += d2.sqrt();
-                }
-            }
+        Op::Smoothness { colors, coords, neighbors, k, dist } => {
+            let total = smoothness_forward(&head[colors.0].value, coords, neighbors, *k, dist);
             value.owned_mut()[(0, 0)] = total;
         }
     }
@@ -758,30 +687,6 @@ fn row_broadcast(
     kernels::count_dispatch(xv.rows());
     for r in 0..xv.rows() {
         k(xv.row(r), rrow, out.row_mut(r));
-    }
-}
-
-/// Fused `matmul → add_row`: the product lands directly in the bias
-/// node's slot, then the bias row is added in place. `x + b` in the same
-/// operand order as the dynamic `kernels::add(x_row, bias, out)`, so the
-/// result is bit-identical lanewise.
-fn exec_fused_linear(nodes: &mut [Node], mm: usize, add: usize) {
-    let (head, tail) = nodes.split_at_mut(add);
-    let Node { value, op, .. } = &mut tail[0];
-    let bias = match op {
-        Op::AddRow(_, r) => *r,
-        _ => unreachable!("fused linear without an AddRow"),
-    };
-    let (a, b) = match &head[mm].op {
-        Op::Matmul(a, b) => (*a, *b),
-        _ => unreachable!("fused linear without a Matmul"),
-    };
-    let out = value.owned_mut();
-    head[a.0].value.matmul_into(&head[b.0].value, out).expect("replay fused matmul");
-    let brow = head[bias.0].value.row(0);
-    kernels::count_dispatch(out.rows());
-    for r in 0..out.rows() {
-        kernels::add_assign(out.row_mut(r), brow);
     }
 }
 
@@ -810,24 +715,27 @@ fn exec_fused_gather_sub(nodes: &mut [Node], gather: usize, sub: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use colper_tensor::kernels::Act;
 
     fn mat(rows: &[&[f32]]) -> Matrix {
         Matrix::from_rows(rows).unwrap()
     }
 
-    /// A graph exercising every schedulable op class, including the two
-    /// fusion peepholes and both zero-accumulating ops. Returns the loss
-    /// plus the vars a caller would extract.
+    /// A graph exercising every schedulable op class, including a fused
+    /// dense layer, the gather→sub peephole and both zero-accumulating
+    /// ops. Returns the loss plus the vars a caller would extract.
     fn build(t: &mut Tape, w0: &Matrix) -> (Var, Var, Var) {
         let w = t.leaf_from(w0);
         let weight = t.constant(mat(&[&[0.4, -0.2, 0.1], &[0.3, 0.9, -0.5]]));
         let bias = t.constant(mat(&[&[0.05, -0.1, 0.2]]));
         let scale_row = t.constant(mat(&[&[1.5, 0.5, 2.0]]));
 
-        // matmul -> add_row -> tanh: the FusedLinear peephole.
-        let h0 = t.matmul(w, weight);
-        let h1 = t.add_row(h0, bias);
-        let h2 = t.tanh(h1);
+        // One dense layer (product, scale, shift and ReLU in one op), then
+        // a bare matmul and the unfused row ops.
+        let h1 = t.dense(w, weight, Some(scale_row), Some(bias), Act::Relu);
+        let square = t.constant(mat(&[&[1.0, -0.5, 0.25], &[0.5, 1.0, 0.0], &[-0.3, 0.2, 1.0]]));
+        let h0 = t.matmul(h1, square);
+        let h2 = t.tanh(h0);
         let h3 = t.mul_row(h2, scale_row);
         let h4 = t.leaky_relu(h3, 0.1);
 
@@ -888,7 +796,7 @@ mod tests {
             &CompileSpec { input: w, output: loss, keep: &keep, hinge: Some(hinge) },
         )
         .expect("graph must compile");
-        assert!(schedule.fused_groups() >= 2, "both peepholes must fire");
+        assert_eq!(schedule.fused_groups(), 1, "the gather→sub peephole must fire");
         assert!(schedule.arena_bytes() > 0);
 
         // Replay twice per input: the second replay runs over dirty
@@ -994,30 +902,30 @@ mod tests {
     fn keep_vars_are_protected_from_fusion() {
         let build_small = |t: &mut Tape, w0: &Matrix| {
             let w = t.leaf_from(w0);
-            let weight = t.constant(mat(&[&[0.4], &[-0.3]]));
-            let bias = t.constant(mat(&[&[0.1]]));
-            let h0 = t.matmul(w, weight);
-            let h1 = t.add_row(h0, bias);
-            let loss = t.sum(h1);
+            let g = t.gather_rows(w, &[1, 0]);
+            let d = t.sub(g, w);
+            let sq = t.square(d);
+            let loss = t.sum(sq);
             t.backward(loss);
-            (loss, w, h0)
+            (loss, w, g)
         };
         let w0 = mat(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let mut t = Tape::new();
-        let (loss, w, h0) = build_small(&mut t, &w0);
-        let keep = [h0];
+        let (loss, w, g) = build_small(&mut t, &w0);
+        let keep = [g];
         let schedule = TapeSchedule::compile(
             &mut t,
             &CompileSpec { input: w, output: loss, keep: &keep, hinge: None },
         )
         .unwrap();
-        assert_eq!(schedule.fused_groups(), 0, "kept matmul must not be fused away");
+        assert_eq!(schedule.fused_groups(), 0, "kept gather must not be fused away");
         let w1 = mat(&[&[-1.0, 0.5], &[2.0, -2.0]]);
         schedule.replay(&mut t, &w1);
         let mut fresh = Tape::new();
-        let (f_loss, _f_w, f_h0) = build_small(&mut fresh, &w1);
+        let (f_loss, f_w, f_g) = build_small(&mut fresh, &w1);
         assert_eq!(t.value(loss).as_slice(), fresh.value(f_loss).as_slice());
-        assert_eq!(t.value(h0).as_slice(), fresh.value(f_h0).as_slice());
+        assert_eq!(t.value(g).as_slice(), fresh.value(f_g).as_slice());
+        assert_eq!(t.grad(w).unwrap().as_slice(), fresh.grad(f_w).unwrap().as_slice());
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! (backward) pass.
 
 use crate::group;
-use colper_tensor::{kernels, BufferPool, Matrix};
+use colper_tensor::kernels::{self, Act};
+use colper_tensor::{BufferPool, Matrix};
 use std::collections::VecDeque;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -112,6 +113,16 @@ pub(crate) enum Op {
     // re-applies it); the backward pass ignores it.
     AddScalar(Var, f32),
     Matmul(Var, Var),
+    /// `act((x · w) ⊙ scale + shift)` with `[1,C]` `scale` and `shift`
+    /// rows, both optional: one eval-mode `Linear → BatchNorm →
+    /// activation` layer. The backward pass reads `act'` from the output.
+    Dense {
+        x: Var,
+        w: Var,
+        scale: Option<Var>,
+        shift: Option<Var>,
+        act: Act,
+    },
     Relu(Var),
     LeakyRelu(Var, f32),
     Tanh(Var),
@@ -177,12 +188,13 @@ pub(crate) enum Op {
         active: Vec<(usize, usize, usize)>, // (row, plus_col, minus_col)
     },
     /// The paper's smoothness penalty (Eq. 6) over a fixed neighbor graph,
-    /// differentiable in the color block only.
+    /// differentiable in the color block only. Saves each edge's distance.
     Smoothness {
         colors: Var,
         coords: Value,
         neighbors: Ix,
         k: usize,
+        dist: Matrix,
     },
 }
 
@@ -227,6 +239,11 @@ impl Op {
             | Op::GroupMax { x, .. }
             | Op::GroupSoftmax { x, .. }
             | Op::WeightedGather { x, .. } => f(*x),
+            Op::Dense { x, w, scale, shift, .. } => {
+                f(*x);
+                f(*w);
+                scale.iter().chain(shift).for_each(|&v| f(v));
+            }
             Op::BatchNorm { x, gamma, beta, .. } => {
                 f(*x);
                 f(*gamma);
@@ -324,7 +341,8 @@ impl Tape {
                     self.pool.recycle(softmax);
                 }
                 Op::CwHinge { active, .. } => self.tri_pool.push_back(active),
-                Op::Smoothness { coords, neighbors, .. } => {
+                Op::Smoothness { coords, neighbors, dist, .. } => {
+                    self.pool.recycle(dist);
                     if let Value::Owned(m) = coords {
                         self.pool.recycle(m);
                     }
@@ -353,6 +371,33 @@ impl Tape {
     /// (nodes reachable from the loss root that received a gradient).
     pub fn backward_visited(&self) -> usize {
         self.visited
+    }
+
+    /// A hash of every piecewise-linear branch the recorded forward pass
+    /// took: the sign of each ReLU / leaky-ReLU input (for a `dense` op's
+    /// fused activation, read from its output, which has the same sign)
+    /// and every max-pool argmax. Two passes with equal fingerprints
+    /// evaluate the same linear piece of those ops, so a central finite
+    /// difference between them measures the analytic gradient up to
+    /// rounding; a probe whose `±h` passes differ straddles a kink, where
+    /// no finite difference can.
+    pub fn branch_fingerprint(&self) -> u64 {
+        const FNV_PRIME: u64 = 0x100_0000_01b3;
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut feed = |v: u64| h = (h ^ v).wrapping_mul(FNV_PRIME);
+        for node in &self.nodes {
+            let signs = match &node.op {
+                Op::Relu(x) | Op::LeakyRelu(x, _) => &self.nodes[x.0].value,
+                Op::Dense { act: Act::Relu | Act::LeakyRelu(_), .. } => &node.value,
+                Op::GroupMax { argmax, .. } => {
+                    argmax.iter().for_each(|&r| feed(r as u64));
+                    continue;
+                }
+                _ => continue,
+            };
+            signs.as_slice().iter().for_each(|&v| feed(u64::from(v > 0.0)));
+        }
+        h
     }
 
     /// Records a differentiable leaf (a gradient will be available after
@@ -539,7 +584,7 @@ impl Tape {
             }
             let Some(gy) = self.grads[i].take() else { continue };
             self.visited += 1;
-            step_backward(&self.nodes, &mut self.grads, &mut self.pool, i, &gy, false);
+            step_backward(&self.nodes, &mut self.grads, &mut self.pool, i, &gy);
             self.grads[i] = Some(gy);
         }
     }
@@ -590,24 +635,18 @@ fn accumulate_copy(
 /// payload is cloned — and builds every produced gradient in pooled
 /// storage. All arithmetic keeps the exact scalar expressions and
 /// accumulation order of the original allocating implementation, so
-/// gradients are bit-identical. The schedule replay reuses this verbatim,
-/// which is what makes replayed gradients bit-identical by construction.
-///
-/// `compiled` selects the schedule replay's compile-time optimizations,
-/// neither of which can change a live gradient:
+/// gradients are bit-identical. The dynamic tape and the schedule replay
+/// both call it, which is what makes replayed gradients bit-identical by
+/// construction. Two economies apply on both paths; neither can change a
+/// live gradient:
 ///
 /// - **Dead-gradient pruning** — operand gradients flowing into
 ///   `!requires_grad` nodes (eval-mode weights bound as constants) are
-///   never computed. The dynamic reference computes then discards them
-///   (`accumulate` recycles the buffer), so a pruned gradient never fed
-///   any surviving value to begin with.
+///   never computed. [`accumulate`] would discard them unread.
 /// - **Dirty scratch buffers** — gradient storage whose kernel fully
-///   overwrites every element (see [`grad_buf`]) skips the `zeros`
-///   memset. Buffers that are accumulated into (`GatherRows`,
+///   overwrites every element takes [`BufferPool::scratch`] and skips the
+///   `zeros` memset. Buffers that are accumulated into (`GatherRows`,
 ///   `Smoothness`, …) or partially written (`SliceCols`) keep `zeros`.
-///
-/// The dynamic tape passes `false` and keeps the simple eager reference
-/// semantics unchanged.
 #[allow(clippy::too_many_lines)]
 pub(crate) fn step_backward(
     nodes: &[Node],
@@ -615,10 +654,9 @@ pub(crate) fn step_backward(
     pool: &mut BufferPool,
     i: usize,
     gy: &Matrix,
-    compiled: bool,
 ) {
     // "Should the gradient for operand `v` be materialized at all?"
-    let wants = |v: Var| !compiled || nodes[v.0].requires_grad;
+    let wants = |v: Var| nodes[v.0].requires_grad;
     match &nodes[i].op {
         Op::Leaf | Op::Constant => {}
         Op::Add(a, b) => {
@@ -628,19 +666,19 @@ pub(crate) fn step_backward(
         Op::Sub(a, b) => {
             accumulate_copy(nodes, grads, pool, *a, gy);
             if wants(*b) {
-                let mut gb = grad_buf(pool, compiled, gy.rows(), gy.cols());
+                let mut gb = pool.scratch(gy.rows(), gy.cols());
                 gy.map_into(&mut gb, |v| -v);
                 accumulate(nodes, grads, pool, *b, gb);
             }
         }
         Op::Mul(a, b) => {
             if wants(*a) {
-                let mut ga = grad_buf(pool, compiled, gy.rows(), gy.cols());
+                let mut ga = pool.scratch(gy.rows(), gy.cols());
                 gy.mul_into(&nodes[b.0].value, &mut ga).expect("shape");
                 accumulate(nodes, grads, pool, *a, ga);
             }
             if wants(*b) {
-                let mut gb = grad_buf(pool, compiled, gy.rows(), gy.cols());
+                let mut gb = pool.scratch(gy.rows(), gy.cols());
                 gy.mul_into(&nodes[a.0].value, &mut gb).expect("shape");
                 accumulate(nodes, grads, pool, *b, gb);
             }
@@ -648,7 +686,7 @@ pub(crate) fn step_backward(
         Op::AddRow(x, r) => {
             accumulate_copy(nodes, grads, pool, *x, gy);
             if wants(*r) {
-                let mut gr = grad_buf(pool, compiled, 1, gy.cols());
+                let mut gr = pool.scratch(1, gy.cols());
                 gy.sum_rows_into(&mut gr);
                 accumulate(nodes, grads, pool, *r, gr);
             }
@@ -656,7 +694,7 @@ pub(crate) fn step_backward(
         Op::SubRow(x, r) => {
             accumulate_copy(nodes, grads, pool, *x, gy);
             if wants(*r) {
-                let mut gr = grad_buf(pool, compiled, 1, gy.cols());
+                let mut gr = pool.scratch(1, gy.cols());
                 gy.sum_rows_into(&mut gr);
                 gr.map_inplace(|v| -v);
                 accumulate(nodes, grads, pool, *r, gr);
@@ -666,14 +704,14 @@ pub(crate) fn step_backward(
             let rv: &Matrix = &nodes[r.0].value;
             let xv: &Matrix = &nodes[x.0].value;
             if wants(*x) {
-                let mut gx = grad_buf(pool, compiled, gy.rows(), gy.cols());
+                let mut gx = pool.scratch(gy.rows(), gy.cols());
                 broadcast_mul_into(gy, rv, &mut gx);
                 accumulate(nodes, grads, pool, *x, gx);
             }
             if wants(*r) {
-                let mut tmp = grad_buf(pool, compiled, gy.rows(), gy.cols());
+                let mut tmp = pool.scratch(gy.rows(), gy.cols());
                 gy.mul_into(xv, &mut tmp).expect("shape");
-                let mut gr = grad_buf(pool, compiled, 1, gy.cols());
+                let mut gr = pool.scratch(1, gy.cols());
                 tmp.sum_rows_into(&mut gr);
                 pool.recycle(tmp);
                 accumulate(nodes, grads, pool, *r, gr);
@@ -682,21 +720,21 @@ pub(crate) fn step_backward(
         Op::DivRow(x, r) => {
             let rv: &Matrix = &nodes[r.0].value;
             let xv: &Matrix = &nodes[x.0].value;
-            let mut inv = grad_buf(pool, compiled, rv.rows(), rv.cols());
+            let mut inv = pool.scratch(rv.rows(), rv.cols());
             if wants(*x) {
                 rv.map_into(&mut inv, |v| 1.0 / v);
-                let mut gx = grad_buf(pool, compiled, gy.rows(), gy.cols());
+                let mut gx = pool.scratch(gy.rows(), gy.cols());
                 broadcast_mul_into(gy, &inv, &mut gx);
                 accumulate(nodes, grads, pool, *x, gx);
             }
             if wants(*r) {
                 // d/dr (x/r) = -x / r^2
                 rv.map_into(&mut inv, |v| -1.0 / (v * v));
-                let mut tmp = grad_buf(pool, compiled, gy.rows(), gy.cols());
+                let mut tmp = pool.scratch(gy.rows(), gy.cols());
                 gy.mul_into(xv, &mut tmp).expect("shape");
-                let mut bm = grad_buf(pool, compiled, gy.rows(), gy.cols());
+                let mut bm = pool.scratch(gy.rows(), gy.cols());
                 broadcast_mul_into(&tmp, &inv, &mut bm);
-                let mut gr = grad_buf(pool, compiled, 1, gy.cols());
+                let mut gr = pool.scratch(1, gy.cols());
                 bm.sum_rows_into(&mut gr);
                 pool.recycle(tmp);
                 pool.recycle(bm);
@@ -705,7 +743,7 @@ pub(crate) fn step_backward(
             pool.recycle(inv);
         }
         Op::Scale(x, s) => {
-            let mut g = grad_buf(pool, compiled, gy.rows(), gy.cols());
+            let mut g = pool.scratch(gy.rows(), gy.cols());
             gy.scale_into(*s, &mut g);
             accumulate(nodes, grads, pool, *x, g);
         }
@@ -714,84 +752,77 @@ pub(crate) fn step_backward(
             let av: &Matrix = &nodes[a.0].value;
             let bv: &Matrix = &nodes[b.0].value;
             if wants(*a) {
-                let mut ga = grad_buf(pool, compiled, gy.rows(), bv.rows());
+                let mut ga = pool.scratch(gy.rows(), bv.rows());
                 gy.matmul_nt_into(bv, &mut ga).expect("shape");
                 accumulate(nodes, grads, pool, *a, ga);
             }
             if wants(*b) {
-                let mut gb = grad_buf(pool, compiled, av.cols(), gy.cols());
+                let mut gb = pool.scratch(av.cols(), gy.cols());
                 av.matmul_tn_into(gy, &mut gb).expect("shape");
                 accumulate(nodes, grads, pool, *b, gb);
             }
         }
+        Op::Dense { x, w, scale, shift, act } => {
+            dense_backward(nodes, grads, pool, i, gy, (*x, *w, *scale, *shift, *act));
+        }
         Op::Relu(x) => {
-            let g = elementwise_grad(pool, compiled, gy, &nodes[x.0].value, |v| {
-                if v > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            });
+            let deriv = |v: f32| if v > 0.0 { 1.0 } else { 0.0 };
+            let g = elementwise_grad(pool, gy, &nodes[x.0].value, deriv);
             accumulate(nodes, grads, pool, *x, g);
         }
         Op::LeakyRelu(x, alpha) => {
             let alpha = *alpha;
-            let g = elementwise_grad(pool, compiled, gy, &nodes[x.0].value, move |v| {
-                if v > 0.0 {
-                    1.0
-                } else {
-                    alpha
-                }
-            });
+            let deriv = move |v: f32| if v > 0.0 { 1.0 } else { alpha };
+            let g = elementwise_grad(pool, gy, &nodes[x.0].value, deriv);
             accumulate(nodes, grads, pool, *x, g);
         }
         Op::Tanh(x) => {
             // y = tanh(x); dy/dx = 1 - y^2 (read from the output node).
-            let g = elementwise_grad(pool, compiled, gy, &nodes[i].value, |t| 1.0 - t * t);
+            let g = elementwise_grad(pool, gy, &nodes[i].value, |t| 1.0 - t * t);
             accumulate(nodes, grads, pool, *x, g);
         }
         Op::Sigmoid(x) => {
-            let g = elementwise_grad(pool, compiled, gy, &nodes[i].value, |s| s * (1.0 - s));
+            let g = elementwise_grad(pool, gy, &nodes[i].value, |s| s * (1.0 - s));
             accumulate(nodes, grads, pool, *x, g);
         }
         Op::Exp(x) => {
-            let mut g = grad_buf(pool, compiled, gy.rows(), gy.cols());
+            let mut g = pool.scratch(gy.rows(), gy.cols());
             gy.mul_into(&nodes[i].value, &mut g).expect("shape");
             accumulate(nodes, grads, pool, *x, g);
         }
         Op::Ln(x) => {
-            let g = elementwise_grad(pool, compiled, gy, &nodes[x.0].value, |v| 1.0 / v);
+            let g = elementwise_grad(pool, gy, &nodes[x.0].value, |v| 1.0 / v);
             accumulate(nodes, grads, pool, *x, g);
         }
         Op::Sqrt(x) => {
-            let g = elementwise_grad(pool, compiled, gy, &nodes[i].value, |s| 0.5 / s.max(1e-12));
+            let g = elementwise_grad(pool, gy, &nodes[i].value, |s| 0.5 / s.max(1e-12));
             accumulate(nodes, grads, pool, *x, g);
         }
         Op::Square(x) => {
-            let g = elementwise_grad(pool, compiled, gy, &nodes[x.0].value, |v| v * 2.0);
+            let g = elementwise_grad(pool, gy, &nodes[x.0].value, |v| v * 2.0);
             accumulate(nodes, grads, pool, *x, g);
         }
         Op::MulConst(x, m) => {
-            let mut g = grad_buf(pool, compiled, gy.rows(), gy.cols());
+            let mut g = pool.scratch(gy.rows(), gy.cols());
             gy.mul_into(m, &mut g).expect("shape");
             accumulate(nodes, grads, pool, *x, g);
         }
         Op::Sum(x) => {
             let (r, c) = nodes[x.0].value.shape();
-            let mut g = grad_buf(pool, compiled, r, c);
+            let mut g = pool.scratch(r, c);
             g.as_mut_slice().fill(gy[(0, 0)]);
             accumulate(nodes, grads, pool, *x, g);
         }
         Op::Mean(x) => {
             let (r, c) = nodes[x.0].value.shape();
             let denom = (r * c).max(1) as f32;
-            let mut g = grad_buf(pool, compiled, r, c);
+            let mut g = pool.scratch(r, c);
             g.as_mut_slice().fill(gy[(0, 0)] / denom);
             accumulate(nodes, grads, pool, *x, g);
         }
         Op::SumRows(x) => {
             let (r, c) = nodes[x.0].value.shape();
-            let mut g = grad_buf(pool, compiled, r, c);
+            let mut g = pool.scratch(r, c);
             for rr in 0..r {
                 g.row_mut(rr).copy_from_slice(gy.row(0));
             }
@@ -801,7 +832,7 @@ pub(crate) fn step_backward(
         Op::MeanRows(x) => {
             let (r, c) = nodes[x.0].value.shape();
             let inv = 1.0 / r.max(1) as f32;
-            let mut g = grad_buf(pool, compiled, r, c);
+            let mut g = pool.scratch(r, c);
             kernels::count_dispatch(r);
             for rr in 0..r {
                 kernels::scale(gy.row(0), inv, g.row_mut(rr));
@@ -810,7 +841,7 @@ pub(crate) fn step_backward(
         }
         Op::SumCols(x) => {
             let (r, c) = nodes[x.0].value.shape();
-            let mut g = grad_buf(pool, compiled, r, c);
+            let mut g = pool.scratch(r, c);
             for rr in 0..r {
                 for cc in 0..c {
                     g[(rr, cc)] = gy[(rr, 0)];
@@ -837,7 +868,7 @@ pub(crate) fn step_backward(
             let k = *k;
             let (r, c) = nodes[x.0].value.shape();
             let inv = 1.0 / k as f32;
-            let mut g = grad_buf(pool, compiled, r, c);
+            let mut g = pool.scratch(r, c);
             kernels::count_dispatch(r);
             for rr in 0..r {
                 kernels::scale(gy.row(rr / k), inv, g.row_mut(rr));
@@ -846,7 +877,7 @@ pub(crate) fn step_backward(
         }
         Op::GroupSoftmax { x, k, softmax } => {
             let (r, c) = softmax.shape();
-            let mut g = grad_buf(pool, compiled, r, c);
+            let mut g = pool.scratch(r, c);
             group::softmax_backward(gy.as_slice(), softmax.as_slice(), c, *k, g.as_mut_slice());
             accumulate(nodes, grads, pool, *x, g);
         }
@@ -867,12 +898,12 @@ pub(crate) fn step_backward(
             let ca = nodes[a.0].value.cols();
             let cb = nodes[b.0].value.cols();
             if wants(*a) {
-                let mut ga = grad_buf(pool, compiled, gy.rows(), ca);
+                let mut ga = pool.scratch(gy.rows(), ca);
                 gy.block_into(0, gy.rows(), 0, ca, &mut ga);
                 accumulate(nodes, grads, pool, *a, ga);
             }
             if wants(*b) {
-                let mut gb = grad_buf(pool, compiled, gy.rows(), cb);
+                let mut gb = pool.scratch(gy.rows(), cb);
                 gy.block_into(0, gy.rows(), ca, ca + cb, &mut gb);
                 accumulate(nodes, grads, pool, *b, gb);
             }
@@ -951,48 +982,23 @@ pub(crate) fn step_backward(
             }
             accumulate(nodes, grads, pool, *logits, g);
         }
-        Op::Smoothness { colors, coords, neighbors, k } => {
-            let k = *k;
+        Op::Smoothness { colors, neighbors, k, dist, .. } => {
             let cv: &Matrix = &nodes[colors.0].value;
-            let n = cv.rows();
-            let cdim = cv.cols();
+            let (n, cdim) = cv.shape();
+            let rgb = cv.as_slice();
             let s = gy[(0, 0)];
             let mut g = pool.zeros(n, cdim);
-            for i_pt in 0..n {
-                for j in 0..k {
-                    let nb = neighbors[i_pt * k + j];
-                    let mut d2 = 0.0f32;
-                    for d in 0..coords.cols() {
-                        let dd = coords[(i_pt, d)] - coords[(nb, d)];
-                        d2 += dd * dd;
-                    }
-                    for d in 0..cdim {
-                        let dd = cv[(i_pt, d)] - cv[(nb, d)];
-                        d2 += dd * dd;
-                    }
-                    let dist = d2.sqrt().max(1e-8);
-                    for d in 0..cdim {
-                        let dd = (cv[(i_pt, d)] - cv[(nb, d)]) / dist;
-                        g[(i_pt, d)] += s * dd;
-                        g[(nb, d)] -= s * dd;
-                    }
+            let gs = g.as_mut_slice();
+            for (e, (&nb, &d)) in neighbors.iter().zip(dist.as_slice()).enumerate() {
+                let (i, dist) = (e / *k, d.max(1e-8));
+                for d in 0..cdim {
+                    let dd = (rgb[i * cdim + d] - rgb[nb * cdim + d]) / dist;
+                    gs[i * cdim + d] += s * dd;
+                    gs[nb * cdim + d] -= s * dd;
                 }
             }
             accumulate(nodes, grads, pool, *colors, g);
         }
-    }
-}
-
-/// Fresh gradient storage for a kernel that fully overwrites every
-/// element of its output. The compiled replay takes dirty scratch (no
-/// memset); the dynamic reference keeps its zeroing allocation pattern.
-/// Bit-identical because the caller's kernel writes every element before
-/// any is read.
-fn grad_buf(pool: &mut BufferPool, compiled: bool, rows: usize, cols: usize) -> Matrix {
-    if compiled {
-        pool.scratch(rows, cols)
-    } else {
-        pool.zeros(rows, cols)
     }
 }
 
@@ -1001,17 +1007,71 @@ fn grad_buf(pool: &mut BufferPool, compiled: bool, rows: usize, cols: usize) -> 
 /// old allocating code, so results are bit-identical.
 fn elementwise_grad(
     pool: &mut BufferPool,
-    compiled: bool,
     gy: &Matrix,
     src: &Matrix,
     deriv: impl Fn(f32) -> f32 + Sync,
 ) -> Matrix {
-    let mut tmp = grad_buf(pool, compiled, src.rows(), src.cols());
+    let mut tmp = pool.scratch(src.rows(), src.cols());
     src.map_into(&mut tmp, deriv);
-    let mut g = grad_buf(pool, compiled, gy.rows(), gy.cols());
+    let mut g = pool.scratch(gy.rows(), gy.cols());
     gy.mul_into(&tmp, &mut g).expect("shape");
     pool.recycle(tmp);
     g
+}
+
+/// The backward arm of [`Op::Dense`]. Materializes `gy * act'(y)` once
+/// in dirty scratch — `dshift` is its column sum, taken before the scale
+/// as the unfused `add_row` took it — scales it in place, and feeds it to
+/// `dx` and `dW`. Only operands that require a gradient get one (the
+/// attack's frozen weights and shift get none). Every step repeats the
+/// unfused chain's rounding, so every gradient is bit-identical to it.
+fn dense_backward(
+    nodes: &[Node],
+    grads: &mut [Option<Matrix>],
+    pool: &mut BufferPool,
+    i: usize,
+    gy: &Matrix,
+    (x, w, scale, shift, act): (Var, Var, Option<Var>, Option<Var>, Act),
+) {
+    let (xv, wv, yv) = (&nodes[x.0].value, &nodes[w.0].value, &nodes[i].value);
+    let srow = scale.map(|s| nodes[s.0].value.row(0));
+    let plain = act == Act::Identity && scale.is_none();
+    let want_x = nodes[x.0].requires_grad;
+    let want_w = nodes[w.0].requires_grad;
+    let want_shift = shift.filter(|t| nodes[t.0].requires_grad);
+    let mut staged = None;
+    if !plain {
+        let mut g = pool.scratch(gy.rows(), gy.cols());
+        for r in 0..gy.rows() {
+            kernels::scalar::dense_prologue(gy.row(r), yv.row(r), act, g.row_mut(r));
+        }
+        staged = Some(g);
+    }
+    if let Some(t) = want_shift {
+        let mut gt = pool.scratch(1, gy.cols());
+        staged.as_ref().unwrap_or(gy).sum_rows_into(&mut gt);
+        accumulate(nodes, grads, pool, t, gt);
+    }
+    if let (Some(g), Some(s)) = (staged.as_mut(), srow) {
+        kernels::count_dispatch(g.rows());
+        for r in 0..g.rows() {
+            kernels::mul_assign(g.row_mut(r), s);
+        }
+    }
+    let g = staged.as_ref().unwrap_or(gy);
+    if want_x {
+        let mut gx = pool.scratch(gy.rows(), wv.rows());
+        g.matmul_nt_into(wv, &mut gx).expect("shape");
+        accumulate(nodes, grads, pool, x, gx);
+    }
+    if want_w {
+        let mut gw = pool.scratch(xv.cols(), gy.cols());
+        xv.matmul_tn_into(g, &mut gw).expect("shape");
+        accumulate(nodes, grads, pool, w, gw);
+    }
+    if let Some(g) = staged {
+        pool.recycle(g);
+    }
 }
 
 /// Multiplies `[N,C]` by a `[1,C]` row, broadcasting over rows, into `out`.

@@ -1,7 +1,7 @@
 //! Property-based gradient checking: random values through composed op
 //! chains must match central finite differences.
 
-use colper_autodiff::{check_gradient, Tape, Var};
+use colper_autodiff::{check_gradient, Act, Tape, Var};
 use colper_tensor::Matrix;
 use proptest::prelude::*;
 
@@ -37,6 +37,36 @@ proptest! {
             t.sum(s)
         });
         prop_assert!(report.max_abs_err < 5e-2, "{report:?}");
+    }
+
+    /// `dense` against central differences for each differentiable
+    /// operand in turn: the input, the weight and the shift.
+    #[test]
+    fn dense_layer(x0 in arb_matrix(4, 3)) {
+        let w0 = Matrix::from_fn(3, 5, |r, c| ((r + 2 * c) as f32).sin() * 0.5);
+        let shift0 = Matrix::from_fn(1, 5, |_, c| c as f32 * 0.1 - 0.2);
+        let scale = Matrix::from_fn(1, 5, |_, c| 1.5 - c as f32 * 0.4);
+        let layer = |t: &mut Tape, x: Var, w: Var, shift: Var| {
+            let s = t.constant(scale.clone());
+            let y = t.dense(x, w, Some(s), Some(shift), Act::LeakyRelu(0.2));
+            let sq = t.square(y);
+            t.sum(sq)
+        };
+        let wrt_x = check_gradient(&x0, |t, x| {
+            let (w, b) = (t.constant(w0.clone()), t.constant(shift0.clone()));
+            layer(t, x, w, b)
+        });
+        prop_assert!(wrt_x.max_abs_err < 5e-2, "{wrt_x:?}");
+        let wrt_w = check_gradient(&w0, |t, w| {
+            let (x, b) = (t.constant(x0.clone()), t.constant(shift0.clone()));
+            layer(t, x, w, b)
+        });
+        prop_assert!(wrt_w.max_abs_err < 5e-2, "{wrt_w:?}");
+        let wrt_shift = check_gradient(&shift0, |t, b| {
+            let (x, w) = (t.constant(x0.clone()), t.constant(w0.clone()));
+            layer(t, x, w, b)
+        });
+        prop_assert!(wrt_shift.max_abs_err < 5e-2, "{wrt_shift:?}");
     }
 
     #[test]

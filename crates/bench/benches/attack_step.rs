@@ -545,11 +545,14 @@ fn bench_alloc(points: usize, model_scale: &str) {
 /// `gemm::tiled_into` against `gemm::row_into` at large shapes
 /// (single-threaded and on a `--threads`-sized pool) and asserts the
 /// committed 2x single-threaded floor; `nt` times the backward
-/// `matmul_nt` route against the per-element `dot` loop it replaced.
-/// Every timed variant is bit-checked against the pinned scalar
-/// reference.
+/// `matmul_nt` route against the per-element `dot` loop it replaced;
+/// `group_max` and `dense` time the max-pool and the dense-layer
+/// epilogue/prologue kernels, scalar reference against the dispatched
+/// twin (both called by name). Every timed variant is bit-checked against
+/// the pinned scalar reference.
 fn bench_simd(samples: usize, threads: usize) {
-    use colper_tensor::{gemm, kernels};
+    use colper_tensor::gemm::{self, Epilogue};
+    use colper_tensor::kernels::{self, scalar, Act};
 
     let shapes: [(usize, usize, usize); 3] = [(64, 64, 64), (256, 64, 64), (512, 128, 64)];
     let seq = Runtime::sequential();
@@ -568,7 +571,7 @@ fn bench_simd(samples: usize, threads: usize) {
             // with the committed history whatever the shape routing.
             let ns = seq.install(|| {
                 time_median_ns(samples, || {
-                    gemm::row_into(&a, &b, &mut out);
+                    gemm::row_into(&a, &b, &Epilogue::NONE, &mut out);
                     black_box(out.as_slice().first().copied());
                 })
             });
@@ -620,10 +623,11 @@ fn bench_simd(samples: usize, threads: usize) {
         let b = Matrix::from_fn(k, n, |r, c| ((r * 17 + c) as f32 * 0.23).cos());
         let mut out = Matrix::zeros(m, n);
 
-        let mut run_leg = |driver: fn(&Matrix, &Matrix, &mut Matrix), rt: &Runtime| {
+        let mut run_leg = |driver: fn(&Matrix, &Matrix, &Epilogue<'_>, &mut Matrix),
+                           rt: &Runtime| {
             let ns = rt.install(|| {
                 time_median_ns(samples, || {
-                    driver(&a, &b, &mut out);
+                    driver(&a, &b, &Epilogue::NONE, &mut out);
                     black_box(out.as_slice().first().copied());
                 })
             });
@@ -636,7 +640,7 @@ fn bench_simd(samples: usize, threads: usize) {
         // The pinned scalar reference through the tiled driver: one call
         // is enough for the bit check.
         kernels::set_simd_enabled(false);
-        gemm::tiled_into(&a, &b, &mut out);
+        gemm::tiled_into(&a, &b, &Epilogue::NONE, &mut out);
         let scalar_bits: Vec<u32> = out.as_slice().iter().map(|v| v.to_bits()).collect();
         kernels::set_simd_enabled(was);
         assert_eq!(row_bits, tiled_bits, "tiled GEMM diverges from row kernel at {m}x{k}x{n}");
@@ -735,6 +739,81 @@ fn bench_simd(samples: usize, threads: usize) {
         ));
     }
 
+    // The max-pool of ResGCN's edge convolution and PointNet++'s first
+    // set abstraction (512-point clouds): each group through the scalar
+    // reference, then through the dispatched twin.
+    let max_shapes: [(&str, usize, usize, usize); 2] =
+        [("resgcn", 4096, 32, 8), ("pointnet2_sa1", 2048, 32, 16)];
+    let mut max_rows = Vec::new();
+    for &(label, rows, cols, k) in &max_shapes {
+        let x = Matrix::from_fn(rows, cols, |r, c| ((r * 31 + c) as f32 * 0.17).sin());
+        let groups = rows / k;
+        let mut best = vec![0.0f32; groups * cols];
+        let mut arg = vec![0usize; groups * cols];
+        let mut run = |f: fn(&[f32], usize, usize, &mut [f32], &mut [usize])| {
+            let ns = time_median_ns(samples, || {
+                let chunks = best.chunks_exact_mut(cols).zip(arg.chunks_exact_mut(cols));
+                for (g, (b, a)) in chunks.enumerate() {
+                    f(&x.as_slice()[g * k * cols..(g + 1) * k * cols], k, g * k, b, a);
+                }
+                black_box(best.first().copied());
+            });
+            (ns, best.iter().map(|v| v.to_bits()).collect::<Vec<u32>>(), arg.clone())
+        };
+        let (scalar_ns, scalar_bits, scalar_arg) = run(scalar::group_max);
+        let (simd_ns, simd_bits, simd_arg) = run(kernels::group_max);
+        assert_eq!(scalar_bits, simd_bits, "group_max values diverge at {label}");
+        assert_eq!(scalar_arg, simd_arg, "group_max argmax diverges at {label}");
+        let speedup = scalar_ns as f64 / simd_ns.max(1) as f64;
+        println!(
+            "bench attack_step/group_max: {label} {rows}x{cols} k={k} scalar {scalar_ns} ns, \
+             dispatched {simd_ns} ns ({speedup:.2}x)"
+        );
+        max_rows.push(format!(
+            "    {{\n      \"shape\": \"{label}\", \"rows\": {rows}, \"cols\": {cols}, \"k\": {k},\n      \
+             \"scalar_median_ns\": {scalar_ns},\n      \"dispatched_median_ns\": {simd_ns},\n      \
+             \"speedup\": {speedup:.4}\n    }}"
+        ));
+    }
+
+    // The dense layer's per-row epilogue (scale, shift, leaky ReLU) at
+    // the same layer widths, over every row.
+    type EpilogueKernel = fn(&mut [f32], Option<&[f32]>, Option<&[f32]>, Act);
+    let dense_shapes: [(&str, usize, usize); 2] =
+        [("resgcn", 4096, 64), ("pointnet2_sa1", 2048, 32)];
+    let mut dense_rows = Vec::new();
+    for &(label, rows, cols) in &dense_shapes {
+        let v = Matrix::from_fn(rows, cols, |r, c| ((r * 31 + c) as f32 * 0.17).sin());
+        let scale: Vec<f32> = (0..cols).map(|c| 0.5 + c as f32 * 0.01).collect();
+        let shift: Vec<f32> = (0..cols).map(|c| (c as f32 * 0.3).sin() * 0.1).collect();
+        let act = Act::LeakyRelu(0.2);
+        let mut out = v.clone();
+        let mut time_epilogue = |f: EpilogueKernel| {
+            let ns = time_median_ns(samples, || {
+                out.as_mut_slice().copy_from_slice(v.as_slice());
+                for r in 0..rows {
+                    f(out.row_mut(r), Some(&scale), Some(&shift), act);
+                }
+                black_box(out.as_slice().first().copied());
+            });
+            (ns, out.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<u32>>())
+        };
+        let (epi_scalar_ns, epi_scalar_bits) = time_epilogue(scalar::dense_epilogue);
+        let (epi_simd_ns, epi_simd_bits) = time_epilogue(kernels::dense_epilogue);
+        assert_eq!(epi_scalar_bits, epi_simd_bits, "dense epilogue diverges at {label}");
+        let speedup = epi_scalar_ns as f64 / epi_simd_ns.max(1) as f64;
+        println!(
+            "bench attack_step/dense: {label} {rows}x{cols} epilogue scalar {epi_scalar_ns} ns, \
+             dispatched {epi_simd_ns} ns ({speedup:.2}x)"
+        );
+        dense_rows.push(format!(
+            "    {{\n      \"shape\": \"{label}\", \"rows\": {rows}, \"cols\": {cols},\n      \
+             \"epilogue_scalar_median_ns\": {epi_scalar_ns},\n      \
+             \"epilogue_dispatched_median_ns\": {epi_simd_ns},\n      \
+             \"speedup\": {speedup:.4}\n    }}"
+        ));
+    }
+
     let json = format!(
         "{{\n  \"benchmark\": \"simd_kernels\",\n  \"features\": \"{}\",\n  \
          \"simd_supported\": {},\n  \"samples\": {samples},\n  \
@@ -742,13 +821,15 @@ fn bench_simd(samples: usize, threads: usize) {
          \"best_matmul_speedup\": {headline_speedup:.4},\n  \"matmul\": [\n{}\n  ],\n  \
          \"tiled\": {{\n    \"isa\": \"{}\",\n    \"threads\": {threads},\n    \
          \"best_tiled_speedup\": {best_tiled_speedup:.4},\n    \"shapes\": [\n{}\n    ]\n  }},\n  \
-         \"nt\": [\n{}\n  ]\n}}\n",
+         \"nt\": [\n{}\n  ],\n  \"group_max\": [\n{}\n  ],\n  \"dense\": [\n{}\n  ]\n}}\n",
         kernels::features(),
         kernels::simd_supported(),
         rows.join(",\n"),
         kernels::gemm_isa().name(),
         tiled_rows.join(",\n"),
         nt_rows.join(",\n"),
+        max_rows.join(",\n"),
+        dense_rows.join(",\n"),
         host = host_parallelism(),
     );
     write_json("BENCH_simd", &json);

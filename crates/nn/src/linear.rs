@@ -2,7 +2,7 @@
 //! layer.
 
 use crate::{Forward, ParamId, ParamSet};
-use colper_autodiff::Var;
+use colper_autodiff::{Act, Var};
 use colper_tensor::Initializer;
 use rand::Rng;
 
@@ -52,27 +52,45 @@ impl Linear {
         self.weight
     }
 
-    /// Applies the layer to `[N, in_dim]` activations.
+    /// Applies the layer to `[N, in_dim]` activations as one
+    /// [`colper_autodiff::Tape::dense`] op, with the bias (if any) as its
+    /// shift.
     ///
     /// # Panics
     ///
     /// Panics when `x` does not have `in_dim` columns.
     pub fn forward(&self, f: &mut Forward<'_>, x: Var) -> Var {
+        self.forward_dense(f, x, None, Act::Identity)
+    }
+
+    /// `act((x W) * scale + shift)` as one dense op. `bn` is a folded
+    /// eval-mode batch norm's `(scale, shift)` rows; without it the
+    /// layer's bias (if any) is the shift.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `x` does not have `in_dim` columns, or when a
+    /// batch-norm fold is given to a layer that has its own bias.
+    pub(crate) fn forward_dense(
+        &self,
+        f: &mut Forward<'_>,
+        x: Var,
+        bn: Option<(Var, Var)>,
+        act: Act,
+    ) -> Var {
         assert_eq!(
             f.tape.value(x).cols(),
             self.in_dim,
             "Linear: expected {} input columns",
             self.in_dim
         );
+        assert!(bn.is_none() || self.bias.is_none(), "Linear: bias and batch-norm shift both set");
         let w = f.param(self.weight);
-        let y = f.tape.matmul(x, w);
-        match self.bias {
-            Some(b) => {
-                let bv = f.param(b);
-                f.tape.add_row(y, bv)
-            }
-            None => y,
-        }
+        let shift = match bn {
+            Some((_, shift)) => Some(shift),
+            None => self.bias.map(|b| f.param(b)),
+        };
+        f.tape.dense(x, w, bn.map(|(scale, _)| scale), shift, act)
     }
 }
 

@@ -3,8 +3,12 @@
 //! networks.
 
 use crate::{BatchNorm, Forward, Linear, ParamSet};
-use colper_autodiff::Var;
+use colper_autodiff::{Act, Var};
 use rand::Rng;
+
+/// The negative-side slope of [`Activation::LeakyRelu`], shared by the
+/// training path and the fused eval path so the two cannot drift apart.
+const LEAKY_SLOPE: f32 = 0.2;
 
 /// Point-wise nonlinearities available to [`SharedMlp`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -21,8 +25,17 @@ impl Activation {
     fn apply(self, f: &mut Forward<'_>, x: Var) -> Var {
         match self {
             Activation::Relu => f.tape.relu(x),
-            Activation::LeakyRelu => f.tape.leaky_relu(x, 0.2),
+            Activation::LeakyRelu => f.tape.leaky_relu(x, LEAKY_SLOPE),
             Activation::Identity => x,
+        }
+    }
+
+    /// The same nonlinearity as a dense-op epilogue.
+    fn act(self) -> Act {
+        match self {
+            Activation::Relu => Act::Relu,
+            Activation::LeakyRelu => Act::LeakyRelu(LEAKY_SLOPE),
+            Activation::Identity => Act::Identity,
         }
     }
 }
@@ -77,14 +90,27 @@ impl SharedMlp {
     }
 
     /// Applies the MLP to `[N, in_dim]` activations.
+    ///
+    /// Each block is one dense op, except a batch-normalized block in
+    /// training mode, which needs batch statistics of the product: it
+    /// records `dense → batch_norm_train → activation`. In evaluation
+    /// mode the batch norm is a constant affine map and folds into the
+    /// dense op with the activation.
     pub fn forward(&self, f: &mut Forward<'_>, x: Var) -> Var {
         let mut h = x;
         for (lin, bn, act) in &self.blocks {
-            h = lin.forward(f, h);
-            if let Some(bn) = bn {
-                h = bn.forward(f, h);
-            }
-            h = act.apply(f, h);
+            h = match bn {
+                Some(bn) if f.training() => {
+                    let z = lin.forward(f, h);
+                    let z = bn.forward(f, z);
+                    act.apply(f, z)
+                }
+                Some(bn) => {
+                    let affine = bn.eval_affine(f);
+                    lin.forward_dense(f, h, Some(affine), act.act())
+                }
+                None => lin.forward_dense(f, h, None, act.act()),
+            };
         }
         h
     }

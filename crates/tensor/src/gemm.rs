@@ -30,13 +30,19 @@
 //! work-stealing runtime; each band owns its rows exclusively, so
 //! results are bit-identical at any thread count.
 //!
+//! Both drivers take an [`Epilogue`]: a per-row `scale`/`shift`/activation
+//! applied to each output row as soon as its sums are final (after the row
+//! kernel, or after a band's last `KC` block), while the row is still in
+//! cache. That is how a dense layer's `Linear → BatchNorm → activation`
+//! chain runs as one pass over its output.
+//!
 //! [`Matrix::matmul_into`] and [`Matrix::matmul_tn_into`] pick a driver
 //! by shape alone: the tiled one when both output sides are at least
 //! [`TILED_MIN_DIM`] and the `B` footprint `k * n` is at least
 //! [`TILED_MIN_KN`]. Both drivers compute the same bits, so the choice
 //! only moves performance.
 
-use crate::kernels::{self, GemmIsa};
+use crate::kernels::{self, Act, GemmIsa};
 use crate::par::{for_each_out_row, runtime_for, MIN_PAR_MACS};
 use crate::{BufferPool, Matrix};
 use std::cell::RefCell;
@@ -58,20 +64,64 @@ pub const TILED_MIN_DIM: usize = 16;
 /// and is already near peak.
 pub const TILED_MIN_KN: usize = 1 << 15;
 
+/// A transform applied to every finished output row of a product:
+/// `act(row * scale + shift)` through [`kernels::dense_epilogue`], with
+/// `scale` and `shift` optional `[n]` rows. [`Epilogue::NONE`] leaves the
+/// product untouched.
+#[derive(Debug, Clone, Copy)]
+pub struct Epilogue<'a> {
+    /// Per-column multiplier, applied first.
+    pub scale: Option<&'a [f32]>,
+    /// Per-column offset, added after the scale.
+    pub shift: Option<&'a [f32]>,
+    /// The activation, applied last.
+    pub act: Act,
+}
+
+impl Epilogue<'_> {
+    /// The plain product.
+    pub const NONE: Epilogue<'static> = Epilogue { scale: None, shift: None, act: Act::Identity };
+
+    /// Whether applying this epilogue changes anything.
+    fn is_active(&self) -> bool {
+        self.scale.is_some() || self.shift.is_some() || self.act != Act::Identity
+    }
+
+    fn apply(&self, row: &mut [f32]) {
+        if self.is_active() {
+            kernels::dense_epilogue(row, self.scale, self.shift, self.act);
+        }
+    }
+
+    /// Kernel calls one `m`-row product makes with this epilogue.
+    fn calls(&self, m: usize) -> usize {
+        if self.is_active() {
+            2 * m
+        } else {
+            m
+        }
+    }
+}
+
 /// Whether an `[m,k] x [k,n]` product routes to [`tiled_into`] rather
 /// than [`row_into`].
 pub(crate) fn use_tiled(m: usize, k: usize, n: usize) -> bool {
     m >= TILED_MIN_DIM && n >= TILED_MIN_DIM && k * n >= TILED_MIN_KN
 }
 
-/// Panics unless `out = a * b` is shape-consistent.
-fn check_shapes(a: &Matrix, b: &Matrix, out: &Matrix) {
+/// Panics unless `out = epi(a * b)` is shape-consistent.
+fn check_shapes(a: &Matrix, b: &Matrix, epi: &Epilogue<'_>, out: &Matrix) {
     assert!(
         a.cols() == b.rows() && out.shape() == (a.rows(), b.cols()),
         "gemm: {:?} x {:?} -> {:?} is not a matmul",
         a.shape(),
         b.shape(),
         out.shape()
+    );
+    let n = b.cols();
+    assert!(
+        epi.scale.is_none_or(|s| s.len() == n) && epi.shift.is_none_or(|t| t.len() == n),
+        "gemm: epilogue rows must be {n} wide"
     );
 }
 
@@ -163,7 +213,9 @@ fn count_tile_tasks(m: usize, k: usize, n: usize, mr: usize, nr: usize) {
 /// splitting bands across the ambient runtime when the block's work
 /// clears the parallel threshold. Each band packs its own `A` panel from
 /// the per-thread pack pool and owns its output rows exclusively, so the
-/// result is bit-identical to the sequential band loop.
+/// result is bit-identical to the sequential band loop. On the last
+/// `k`-block (`epi` is `Some`) each band finishes its rows with the
+/// epilogue while they are still cache-resident.
 #[allow(clippy::too_many_arguments)]
 fn run_bands(
     a: &[f32],
@@ -175,6 +227,7 @@ fn run_bands(
     init: bool,
     bpanel: &[f32],
     isa: GemmIsa,
+    epi: Option<&Epilogue<'_>>,
     out: &mut [f32],
 ) {
     let (mr, nr) = isa.micro_tile();
@@ -204,6 +257,11 @@ fn run_bands(
             }
         }
         pack_recycle(apanel);
+        if let Some(epi) = epi {
+            for row in sub.chunks_mut(n) {
+                epi.apply(row);
+            }
+        }
     };
     match runtime_for(m * kc * n, MIN_PAR_MACS) {
         None => {
@@ -215,40 +273,49 @@ fn run_bands(
     }
 }
 
-/// The row driver: `out = a * b` one output row per
-/// [`kernels::matmul_row`] call (`out` is zeroed first, so recycled
-/// buffers are safe), rows split across the ambient runtime.
+/// The row driver: `out = epi(a * b)` one output row per
+/// [`kernels::matmul_row`] call, each followed by its epilogue (`out` is
+/// zeroed first, so recycled buffers are safe), rows split across the
+/// ambient runtime.
 ///
 /// # Panics
 ///
-/// Panics when `a.cols() != b.rows()` or `out` is not `[a.rows(), b.cols()]`.
-pub fn row_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    check_shapes(a, b, out);
+/// Panics when `a.cols() != b.rows()`, `out` is not `[a.rows(), b.cols()]`
+/// or an epilogue row is not `b.cols()` wide.
+pub fn row_into(a: &Matrix, b: &Matrix, epi: &Epilogue<'_>, out: &mut Matrix) {
+    check_shapes(a, b, epi, out);
     let (m, k) = a.shape();
     let n = b.cols();
-    kernels::count_dispatch(m);
+    kernels::count_dispatch(epi.calls(m));
     out.as_mut_slice().fill(0.0);
     let b = b.as_slice();
-    for_each_out_row(out, m * k * n, |i, out_row| kernels::matmul_row(a.row(i), b, n, out_row));
+    for_each_out_row(out, m * k * n, |i, out_row| {
+        kernels::matmul_row(a.row(i), b, n, out_row);
+        epi.apply(out_row);
+    });
 }
 
-/// The tiled driver: `out = a * b` (fully overwritten; `init` semantics
-/// make pre-zeroing unnecessary). Bit-identical to [`row_into`] for
-/// every input, SIMD leg and thread count.
+/// The tiled driver: `out = epi(a * b)` (fully overwritten; `init`
+/// semantics make pre-zeroing unnecessary). Bit-identical to
+/// [`row_into`] for every input, SIMD leg and thread count.
 ///
 /// # Panics
 ///
-/// Panics when `a.cols() != b.rows()` or `out` is not `[a.rows(), b.cols()]`.
-pub fn tiled_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    check_shapes(a, b, out);
+/// Panics when `a.cols() != b.rows()`, `out` is not `[a.rows(), b.cols()]`
+/// or an epilogue row is not `b.cols()` wide.
+pub fn tiled_into(a: &Matrix, b: &Matrix, epi: &Epilogue<'_>, out: &mut Matrix) {
+    check_shapes(a, b, epi, out);
     let (m, k) = a.shape();
     let n = b.cols();
-    kernels::count_dispatch(m);
+    kernels::count_dispatch(epi.calls(m));
     if m == 0 || n == 0 {
         return;
     }
     if k == 0 {
         out.as_mut_slice().fill(0.0);
+        for row in out.as_mut_slice().chunks_mut(n) {
+            epi.apply(row);
+        }
         return;
     }
     let isa = kernels::gemm_isa();
@@ -260,7 +327,8 @@ pub fn tiled_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
         let kc = KC.min(k - pc);
         let mut bpanel = pack_scratch(1, n.div_ceil(nr) * nr * kc);
         pack_b_block(b, n, pc, kc, nr, bpanel.as_mut_slice());
-        run_bands(a, m, k, n, pc, kc, pc == 0, bpanel.as_slice(), isa, out);
+        let last = (pc + kc == k).then_some(epi);
+        run_bands(a, m, k, n, pc, kc, pc == 0, bpanel.as_slice(), isa, last, out);
         pack_recycle(bpanel);
         pc += kc;
     }

@@ -15,13 +15,14 @@
 //! dispatch layer in [`super`]).
 #![allow(unsafe_code)]
 
-use super::scalar;
+use super::{scalar, Act};
 use core::arch::x86_64::{
-    __m256i, _mm256_add_ps, _mm256_blendv_ps, _mm256_castsi256_ps, _mm256_cmp_ps,
-    _mm256_cmpgt_epi32, _mm256_div_ps, _mm256_fmadd_ps, _mm256_fnmadd_ps, _mm256_hadd_ps,
-    _mm256_loadu_ps, _mm256_maskload_ps, _mm256_maskstore_ps, _mm256_max_ps, _mm256_min_ps,
-    _mm256_mul_ps, _mm256_permute2f128_ps, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setr_epi32,
-    _mm256_setzero_ps, _mm256_storeu_ps, _mm256_sub_ps, _CMP_UNORD_Q,
+    __m256i, _mm256_add_ps, _mm256_blendv_ps, _mm256_castps_si256, _mm256_castsi256_ps,
+    _mm256_cmp_ps, _mm256_cmpgt_epi32, _mm256_div_ps, _mm256_fmadd_ps, _mm256_fnmadd_ps,
+    _mm256_hadd_ps, _mm256_loadu_ps, _mm256_maskload_ps, _mm256_maskstore_ps, _mm256_max_ps,
+    _mm256_min_ps, _mm256_mul_ps, _mm256_permute2f128_ps, _mm256_set1_epi32, _mm256_set1_ps,
+    _mm256_setr_epi32, _mm256_setzero_ps, _mm256_storeu_ps, _mm256_storeu_si256, _mm256_sub_ps,
+    _CMP_GT_OQ, _CMP_UNORD_Q,
 };
 
 const W: usize = 8;
@@ -523,4 +524,95 @@ pub(super) unsafe fn tanh(a: &[f32], out: &mut [f32]) {
         out[i] = scalar::tanh_lane(a[i]);
         i += 1;
     }
+}
+
+/// AVX2 twin of [`scalar::dense_epilogue`]: the same multiply, add and
+/// activation per lane. `_mm256_max_ps(v, 0)` returns its second operand
+/// when `v` is NaN or a zero, which is what `v.max(0.0)` gives; the leaky
+/// ReLU blends `alpha * v` under an ordered `v > 0` mask, so NaN takes
+/// the `alpha * v` branch exactly as the scalar `if` does.
+///
+/// # Safety
+///
+/// Requires AVX2+FMA, verified by the caller via runtime detection.
+#[target_feature(enable = "avx2", enable = "fma")]
+pub(super) unsafe fn dense_epilogue(
+    row: &mut [f32],
+    scale: Option<&[f32]>,
+    shift: Option<&[f32]>,
+    act: Act,
+) {
+    let n = row.len();
+    assert!(scale.is_none_or(|s| s.len() >= n) && shift.is_none_or(|t| t.len() >= n));
+    let zero = _mm256_setzero_ps();
+    let valpha = _mm256_set1_ps(match act {
+        Act::LeakyRelu(alpha) => alpha,
+        _ => 0.0,
+    });
+    let rp = row.as_mut_ptr();
+    let mut i = 0;
+    while i + W <= n {
+        let mut v = _mm256_loadu_ps(rp.add(i));
+        if let Some(s) = scale {
+            v = _mm256_mul_ps(v, _mm256_loadu_ps(s.as_ptr().add(i)));
+        }
+        if let Some(t) = shift {
+            v = _mm256_add_ps(v, _mm256_loadu_ps(t.as_ptr().add(i)));
+        }
+        v = match act {
+            Act::Identity => v,
+            Act::Relu => _mm256_max_ps(v, zero),
+            Act::LeakyRelu(_) => {
+                let pos = _mm256_cmp_ps::<_CMP_GT_OQ>(v, zero);
+                _mm256_blendv_ps(_mm256_mul_ps(valpha, v), v, pos)
+            }
+        };
+        _mm256_storeu_ps(rp.add(i), v);
+        i += W;
+    }
+    if i < n {
+        scalar::dense_epilogue(&mut row[i..], scale.map(|s| &s[i..]), shift.map(|t| &t[i..]), act);
+    }
+}
+
+/// AVX2 twin of [`scalar::group_max`]: eight columns per block keep their
+/// running max and winning row offset in registers across the group's
+/// rows. A lane updates under an ordered `v > best` mask (NaN never
+/// wins, ties keep the earlier row), the same comparison the scalar loop
+/// makes per element. Columns past the last full block go through the
+/// scalar reference.
+///
+/// # Safety
+///
+/// Requires AVX2+FMA, verified by the caller via runtime detection.
+#[target_feature(enable = "avx2", enable = "fma")]
+pub(super) unsafe fn group_max(
+    x: &[f32],
+    k: usize,
+    row0: usize,
+    best: &mut [f32],
+    arg: &mut [usize],
+) {
+    let cols = best.len();
+    assert!(x.len() >= k * cols && arg.len() >= cols && k <= i32::MAX as usize);
+    let xp = x.as_ptr();
+    let mut c = 0;
+    while c + W <= cols {
+        let mut b = _mm256_set1_ps(f32::NEG_INFINITY);
+        let mut at = _mm256_setzero_ps(); // row offset 0 in every lane
+        for j in 0..k {
+            let v = _mm256_loadu_ps(xp.add(j * cols + c));
+            let wins = _mm256_cmp_ps::<_CMP_GT_OQ>(v, b);
+            b = _mm256_blendv_ps(b, v, wins);
+            at = _mm256_blendv_ps(at, _mm256_castsi256_ps(_mm256_set1_epi32(j as i32)), wins);
+        }
+        _mm256_storeu_ps(best.as_mut_ptr().add(c), b);
+        let mut offsets = [0i32; W];
+        _mm256_storeu_si256(offsets.as_mut_ptr().cast(), _mm256_castps_si256(at));
+        for (a, &j) in arg[c..c + W].iter_mut().zip(&offsets) {
+            *a = row0 + j as usize;
+        }
+        c += W;
+    }
+    scalar::group_max_from(x, k, row0, c, best, arg);
 }

@@ -301,6 +301,21 @@ pub fn gemm_tile(
     }
 }
 
+/// The activation a dense epilogue ([`dense_epilogue`]) applies after
+/// the affine part, and whose derivative the backward prologue
+/// ([`scalar::dense_prologue`]) reads from the op's output.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Act {
+    /// No nonlinearity.
+    Identity,
+    /// `max(v, 0)`.
+    Relu,
+    /// `v` when `v > 0`, else `alpha * v`. The backward prologue reads
+    /// the derivative from the output, which is sound only for
+    /// `alpha > 0` (then `y > 0` exactly when `v > 0`).
+    LeakyRelu(f32),
+}
+
 macro_rules! dispatched {
     ($(#[$doc:meta])* $name:ident ( $($arg:ident : $ty:ty),* ) $(-> $ret:ty)?) => {
         $(#[$doc])*
@@ -399,6 +414,18 @@ dispatched! {
     /// One output row of `a * b^T`: `out_row[j] = dot(a_row, b.row(j))`
     /// for the `n x k` row-major `b`. See [`scalar::dot_cols`].
     dot_cols(a_row: &[f32], b: &[f32], n: usize, out_row: &mut [f32])
+}
+
+dispatched! {
+    /// One finished output row of a dense layer: `v * scale` (when
+    /// given), then `+ shift` (when given), then `act`. See
+    /// [`scalar::dense_epilogue`].
+    dense_epilogue(row: &mut [f32], scale: Option<&[f32]>, shift: Option<&[f32]>, act: Act)
+}
+dispatched! {
+    /// Column-wise max over one group of `k` rows with first-occurrence
+    /// argmax. See [`scalar::group_max`].
+    group_max(x: &[f32], k: usize, row0: usize, best: &mut [f32], arg: &mut [usize])
 }
 
 #[cfg(test)]

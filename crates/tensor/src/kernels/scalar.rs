@@ -19,6 +19,8 @@
 //! These functions are public so property tests (and sceptical users) can
 //! compare them directly against whatever `super`'s runtime dispatch picks.
 
+use super::Act;
+
 /// Number of strided partial sums used by every reduction kernel. Equal to
 /// the AVX2 `f32` vector width so one `ymm` register holds all lanes.
 pub const LANES: usize = 8;
@@ -267,6 +269,94 @@ pub fn gemm_tile(
         for (j, o) in c_row.iter_mut().enumerate() {
             let seed = if init { 0.0 } else { *o };
             *o = fma_dot_chain(&ap[r..], mr, &bp[j..], nr, kc, seed);
+        }
+    }
+}
+
+/// One finished output row of a dense layer, in place: `v = v * scale[i]`
+/// (when `scale` is given), then `v = v + shift[i]` (when `shift` is
+/// given), then the activation (`v.max(0.0)` for ReLU, `v > 0 ? v :
+/// alpha * v` for leaky ReLU). Each step is the correctly-rounded
+/// operation the unfused `mul_row → add_row → activation` chain
+/// performs, in the same order, so fusing never changes a bit.
+pub fn dense_epilogue(row: &mut [f32], scale: Option<&[f32]>, shift: Option<&[f32]>, act: Act) {
+    if let Some(s) = scale {
+        for (v, &s) in row.iter_mut().zip(s) {
+            *v *= s;
+        }
+    }
+    if let Some(t) = shift {
+        for (v, &t) in row.iter_mut().zip(t) {
+            *v += t;
+        }
+    }
+    match act {
+        Act::Identity => {}
+        Act::Relu => {
+            for v in row.iter_mut() {
+                *v = v.max(0.0);
+            }
+        }
+        Act::LeakyRelu(alpha) => {
+            for v in row.iter_mut() {
+                *v = if *v > 0.0 { *v } else { alpha * *v };
+            }
+        }
+    }
+}
+
+/// One row of a dense layer's backward operand before its scale:
+/// `out[i] = gy[i] * act'(y[i])`, with the derivative read from the
+/// layer's output `y` (`1` where `y > 0`, else `0` for ReLU and `alpha`
+/// for leaky ReLU). The derivative is multiplied in, never selected, so
+/// `-0.0` and NaN propagate as in the unfused chain. Not dispatched: the
+/// compiler vectorizes this loop as well as a hand-written AVX2 twin.
+pub fn dense_prologue(gy: &[f32], y: &[f32], act: Act, out: &mut [f32]) {
+    let n = out.len();
+    match act {
+        Act::Identity => out.copy_from_slice(&gy[..n]),
+        Act::Relu => {
+            for (o, (&g, &y)) in out.iter_mut().zip(gy.iter().zip(y)) {
+                *o = g * if y > 0.0 { 1.0 } else { 0.0 };
+            }
+        }
+        Act::LeakyRelu(alpha) => {
+            for (o, (&g, &y)) in out.iter_mut().zip(gy.iter().zip(y)) {
+                *o = g * if y > 0.0 { 1.0 } else { alpha };
+            }
+        }
+    }
+}
+
+/// Max-pool of one group: `best[c] = max_j x[j*C + c]` over the group's
+/// `k` rows of `C = best.len()` columns, with `arg[c] = row0 + j` for the
+/// first row reaching it. Rows are compared with `>`, so NaN never wins
+/// and ties keep the earlier row; a column no row beats keeps `-inf` and
+/// `row0`.
+pub fn group_max(x: &[f32], k: usize, row0: usize, best: &mut [f32], arg: &mut [usize]) {
+    group_max_from(x, k, row0, 0, best, arg);
+}
+
+/// [`group_max`] over columns `c0..` only (the AVX2 twin's ragged tail).
+pub(super) fn group_max_from(
+    x: &[f32],
+    k: usize,
+    row0: usize,
+    c0: usize,
+    best: &mut [f32],
+    arg: &mut [usize],
+) {
+    let cols = best.len();
+    let (best, arg) = (&mut best[c0..], &mut arg[c0..cols]);
+    best.fill(f32::NEG_INFINITY);
+    arg.fill(row0);
+    for j in 0..k {
+        let row = &x[j * cols + c0..(j + 1) * cols];
+        for ((b, a), &v) in best.iter_mut().zip(arg.iter_mut()).zip(row) {
+            if v > *b {
+                *b = v;
+                *a = row0 + j;
+            }
         }
     }
 }

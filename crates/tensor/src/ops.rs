@@ -10,7 +10,7 @@
 //! AVX2 paths are bit-identical — so neither thread count nor SIMD
 //! dispatch ever changes a result.
 
-use crate::gemm;
+use crate::gemm::{self, Epilogue};
 use crate::kernels;
 use crate::par::{chunk_len, for_each_out_row, runtime_for, MIN_PAR_ELEMS};
 use crate::{Matrix, ShapeError, TensorError};
@@ -278,6 +278,30 @@ impl Matrix {
     ///
     /// Panics when `out` is not `[m, n]`.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) -> Result<(), TensorError> {
+        self.matmul_epilogue_into(other, &Epilogue::NONE, out)
+    }
+
+    /// [`Matrix::matmul_into`] with an [`Epilogue`] applied to every
+    /// output row as soon as it is final — a dense layer's
+    /// `act(x W * scale + shift)` in one pass over its output. The
+    /// product's bits are those of [`Matrix::matmul_into`] on either
+    /// driver; the epilogue then performs the unfused chain's rounding
+    /// steps in the unfused order.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ShapeError`] when `self.cols() != other.rows()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `out` is not `[m, n]` or an epilogue row is not `n`
+    /// wide.
+    pub fn matmul_epilogue_into(
+        &self,
+        other: &Matrix,
+        epi: &Epilogue<'_>,
+        out: &mut Matrix,
+    ) -> Result<(), TensorError> {
         if self.cols() != other.rows() {
             return Err(ShapeError::new("matmul", self.shape(), other.shape()).into());
         }
@@ -285,9 +309,9 @@ impl Matrix {
         let n = other.cols();
         assert_eq!(out.shape(), (m, n), "matmul_into: output shape mismatch");
         if gemm::use_tiled(m, k, n) {
-            gemm::tiled_into(self, other, out);
+            gemm::tiled_into(self, other, epi, out);
         } else {
-            gemm::row_into(self, other, out);
+            gemm::row_into(self, other, epi, out);
         }
         Ok(())
     }
@@ -338,9 +362,9 @@ impl Matrix {
         let mut packed = gemm::pack_scratch(m, k);
         self.transpose_into(&mut packed);
         if gemm::use_tiled(m, k, n) {
-            gemm::tiled_into(&packed, other, out);
+            gemm::tiled_into(&packed, other, &Epilogue::NONE, out);
         } else {
-            gemm::row_into(&packed, other, out);
+            gemm::row_into(&packed, other, &Epilogue::NONE, out);
         }
         gemm::pack_recycle(packed);
         Ok(())

@@ -9,8 +9,9 @@
 //! bits rather than values so `-0.0` vs `0.0` and NaN payload differences
 //! cannot hide.
 
-use colper_tensor::kernels::{self, scalar};
-use colper_tensor::{gemm, Matrix};
+use colper_tensor::gemm::{self, Epilogue};
+use colper_tensor::kernels::{self, scalar, Act};
+use colper_tensor::Matrix;
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
 
@@ -63,7 +64,7 @@ fn arb_vec(max_len: usize) -> impl Strategy<Value = Vec<f32>> {
 }
 
 /// A matmul driver, called by name instead of routed by shape.
-type Driver = fn(&Matrix, &Matrix, &mut Matrix);
+type Driver = fn(&Matrix, &Matrix, &Epilogue<'_>, &mut Matrix);
 
 /// Runs `f` under every (SIMD leg, GEMM driver) combination the host
 /// supports — scalar / AVX2 / AVX-512, each handed [`gemm::row_into`] and
@@ -95,13 +96,44 @@ fn on_all_gemm_legs(f: impl Fn(Driver) -> Vec<u32>) -> Vec<(String, Vec<u32>)> {
 }
 
 /// `a * b` through `driver` over a dirty output (so a missed element
-/// shows), followed by the shape-routed `at^T * b`.
+/// shows), then again with a scale/shift/leaky-ReLU epilogue, followed by
+/// the shape-routed `at^T * b`.
 fn gemm_bits(driver: Driver, a: &Matrix, at: &Matrix, b: &Matrix) -> Vec<u32> {
     let mut out = Matrix::from_fn(a.rows(), b.cols(), |_, _| f32::NAN);
-    driver(a, b, &mut out);
+    driver(a, b, &Epilogue::NONE, &mut out);
     let mut dump = bits(out.as_slice());
+    let scale: Vec<f32> = (0..b.cols()).map(|j| 0.5 + j as f32 * 0.125).collect();
+    let shift: Vec<f32> = (0..b.cols()).map(|j| (j as f32 * 0.7).sin()).collect();
+    let epi = Epilogue { scale: Some(&scale), shift: Some(&shift), act: Act::LeakyRelu(0.2) };
+    out.as_mut_slice().fill(f32::NAN);
+    driver(a, b, &epi, &mut out);
+    dump.extend(bits(out.as_slice()));
     dump.extend(bits(at.matmul_tn(b).unwrap().as_slice()));
     dump
+}
+
+/// [`bits`] with every NaN folded to one pattern: the compiler may
+/// commute the operands of a scalar `*`, which moves a NaN's payload, so
+/// only where NaN appears is pinned.
+fn value_bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() }).collect()
+}
+
+/// Values on a coarse grid (so ties and exact zeros are common) mixed
+/// with NaN, both infinities and both zeros.
+fn arb_special() -> impl Strategy<Value = f32> {
+    (0u32..12, -4i32..5).prop_map(|(pick, level)| match pick {
+        0 => f32::NAN,
+        1 => f32::INFINITY,
+        2 => f32::NEG_INFINITY,
+        3 => -0.0,
+        4 => 0.0,
+        _ => level as f32 * 0.75,
+    })
+}
+
+fn arb_act() -> impl Strategy<Value = Act> {
+    (0usize..3).prop_map(|i| [Act::Identity, Act::Relu, Act::LeakyRelu(0.2)][i])
 }
 
 proptest! {
@@ -317,6 +349,42 @@ proptest! {
         for (label, run) in &runs[1..] {
             prop_assert_eq!(run, reference, "leg {} diverged from {}", label, ref_label);
         }
+    }
+}
+
+proptest! {
+    /// The dense epilogue and the group max-pool: the dispatched
+    /// kernel against the scalar reference, both called by name, on
+    /// ragged widths and special values (NaN, infinities, signed zeros,
+    /// ties).
+    #[test]
+    fn dense_and_group_max_kernels_match_scalar_reference(
+        data in proptest::collection::vec(arb_special(), 0..160),
+        width in 1usize..20,
+        act in arb_act(),
+        use_scale in proptest::bool::ANY,
+        use_shift in proptest::bool::ANY,
+    ) {
+        let n = data.len() / 3;
+        let (v, rest) = data.split_at(n);
+        let (s, rest) = rest.split_at(n);
+        let t = &rest[..n];
+        let (scale, shift) = (use_scale.then_some(s), use_shift.then_some(t));
+
+        let mut want = v.to_vec();
+        scalar::dense_epilogue(&mut want, scale, shift, act);
+        let mut got = v.to_vec();
+        kernels::dense_epilogue(&mut got, scale, shift, act);
+        prop_assert_eq!(value_bits(&got), value_bits(&want));
+
+        let k = data.len() / width;
+        let x = &data[..k * width];
+        let (mut want, mut want_arg) = (vec![0.0; width], vec![0; width]);
+        scalar::group_max(x, k, 7, &mut want, &mut want_arg);
+        let (mut got, mut got_arg) = (vec![0.0; width], vec![0; width]);
+        kernels::group_max(x, k, 7, &mut got, &mut got_arg);
+        prop_assert_eq!(bits(&got), bits(&want));
+        prop_assert_eq!(got_arg, want_arg);
     }
 }
 
